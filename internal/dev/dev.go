@@ -24,7 +24,9 @@ package dev
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 
 	"metaupdate/internal/disk"
 	"metaupdate/internal/fault"
@@ -139,15 +141,19 @@ type Request struct {
 	// read filled nothing into Buf.
 	Err error
 
-	// Barrier bookkeeping. Instead of each request carrying the ID set it
-	// waits on (a map per request, deleted from on every completion — the
-	// old representation dominated whole-run profiles), each pending
-	// request keeps the list of successors it blocks, and successors keep
-	// only the count of outstanding predecessors. Exactly one edge exists
-	// per (predecessor, successor) pair, so completion is a plain counter
-	// decrement per edge.
-	nwait  int        // outstanding predecessors; dispatchable at zero
-	blocks []*Request // successors to unblock when this request completes
+	// Barrier bookkeeping. A request counts the wait units it still holds
+	// in nwait and is dispatchable at zero. A sector-conflict or chains
+	// dependency predecessor is an edge: it lists the successor in blocks
+	// and releases one unit when it leaves the pending set. A flag relation
+	// (and chains' flagged barrier) is one unit however many predecessors
+	// it covers: a drain watermark, released once no pending request — or
+	// no pending flagged request — with ID <= a bound remains.
+	nwait  int
+	blocks []*Request // edge successors to unblock when this request leaves
+
+	qseq     uint64 // queue position; equal LBNs dispatch in qseq order
+	idLink   link   // thread in the driver's ID-ordered pending list
+	flagLink link   // thread in the ID-ordered pending flagged list
 
 	enqueueAt  sim.Time
 	dispatchAt sim.Time
@@ -244,13 +250,32 @@ type Driver struct {
 	cfg Config
 
 	nextID   uint64
-	queue    []*Request // submitted, not dispatched, in submission order
+	queued   int        // submitted, not dispatched (barrier-blocked or eligible)
 	inflight []*Request // dispatched batch, in LBN order
 	pending  map[uint64]*Request
 
-	free        []*Request         // LIFO request pool (see AllocRequest/Release)
-	concatIdx   map[int64]*Request // reusable LBN index for concat
-	predScratch []uint64           // reusable observer pred-ID buffer
+	// Indexes over the pending set (queued + inflight), so a submission
+	// touches only the requests it is ordered behind.
+	byLBN     lbnIndex   // every pending request by (LBN, ID): conflicts
+	byID      idList     // every pending request in ID order
+	flagged   idList     // pending flagged requests in ID order
+	drainAll  drainQueue // watermark waiters on byID
+	drainFlag drainQueue // watermark waiters on flagged
+	maxCount  int        // largest Count submitted: bounds the conflict search
+
+	// elig holds the queued requests with no outstanding wait unit, by
+	// (LBN, qseq) — C-LOOK order with queue order breaking ties.
+	elig     lbnIndex
+	nextQseq uint64
+
+	free []*Request // LIFO request pool (see AllocRequest/Release)
+	// batchBufs are the in-flight batch's storage, used alternately: a
+	// completion callback may submit and dispatch the next batch while
+	// complete is still firing the previous one.
+	batchBufs   [2][]*Request
+	batchFlip   int
+	predScratch []uint64 // reusable observer pred-ID buffer
+	completeFn  func()   // d.complete, bound once so dispatch allocates no closure
 
 	lastFlagID uint64 // most recent flagged request ever submitted (ModeFlag)
 	headLBN    int64  // C-LOOK position: sector after the last dispatch
@@ -277,13 +302,8 @@ type Driver struct {
 	// pure sector-conflict edges, which arise in every mode, are excluded.
 	// ModeIgnore drivers (No Order, Conventional, Soft Updates) therefore
 	// always report zero: the paper-shaped "requests blocked on ordering"
-	// counter. Always on; one comparison per barrier edge.
+	// counter. Always on.
 	OrderingStalls int64
-
-	// Debug counters (cheap; retained for tests).
-	DbgFlaggedSubmitted int64
-	DbgReadBarrierSum   int64
-	DbgReadCount        int64
 
 	Trace Trace
 }
@@ -316,13 +336,17 @@ func New(eng *sim.Engine, dsk *disk.Disk, cfg Config) *Driver {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
 	}
-	return &Driver{
-		eng:       eng,
-		dsk:       dsk,
-		cfg:       cfg,
-		pending:   make(map[uint64]*Request),
-		concatIdx: make(map[int64]*Request),
+	d := &Driver{
+		eng:     eng,
+		dsk:     dsk,
+		cfg:     cfg,
+		pending: make(map[uint64]*Request),
+		byLBN:   newLBNIndex(dsk.Sectors()),
+		flagged: idList{flagged: true},
+		elig:    newLBNIndex(dsk.Sectors()),
 	}
+	d.completeFn = d.complete
+	return d
 }
 
 // AllocRequest returns a blank Request, reusing one from the driver's pool
@@ -394,10 +418,10 @@ type FaultObserver interface {
 func (d *Driver) SetObserver(o Observer) { d.obs = o }
 
 // QueueLen reports queued (not yet dispatched) requests.
-func (d *Driver) QueueLen() int { return len(d.queue) }
+func (d *Driver) QueueLen() int { return d.queued }
 
 // Busy reports whether any request is queued or in flight.
-func (d *Driver) Busy() bool { return len(d.queue) > 0 || len(d.inflight) > 0 }
+func (d *Driver) Busy() bool { return d.queued > 0 || len(d.inflight) > 0 }
 
 // Submit enqueues r, computes its ordering barrier, and starts the disk if
 // idle. It returns r for convenience; r.Done fires at completion.
@@ -421,69 +445,165 @@ func (d *Driver) Submit(r *Request) *Request {
 	}
 	r.enqueueAt = d.eng.Now()
 
-	d.computeBarrier(r)
+	d.wire(r)
 	if r.nwait == 0 {
 		r.readyAt = r.enqueueAt
 	}
 	if d.obs != nil {
-		sort.Slice(d.predScratch, func(i, j int) bool { return d.predScratch[i] < d.predScratch[j] })
 		d.obs.RequestSubmitted(r, d.predScratch)
 	}
 
-	d.queue = append(d.queue, r)
 	d.pending[r.ID] = r
+	d.byID.push(r)
+	if r.Flag {
+		d.flagged.push(r)
+	}
+	d.byLBN.insert(r, r.ID)
+	d.maxCount = max(d.maxCount, r.Count)
 	if r.Flag && d.cfg.Mode == ModeFlag {
 		d.lastFlagID = r.ID
-		d.DbgFlaggedSubmitted++
 	}
-	if r.Op == disk.Read {
-		d.DbgReadCount++
-		d.DbgReadBarrierSum += int64(r.nwait)
-	}
-	if len(d.queue) > d.Trace.MaxQueueLen {
-		d.Trace.MaxQueueLen = len(d.queue)
+	d.enqueue(r)
+	if d.queued > d.Trace.MaxQueueLen {
+		d.Trace.MaxQueueLen = d.queued
 	}
 	d.kick()
 	return r
 }
 
-// computeBarrier wires r into the barrier graph: for every pending request
-// q (queue + inflight — exactly the requests submitted before r that have
-// not completed) with predecessorOf(q, r), it appends r to q's successor
-// list and bumps r's outstanding-predecessor count. predScratch collects
-// the predecessor IDs for the observer (only when one is installed — the
-// sort is pure overhead otherwise).
-func (d *Driver) computeBarrier(r *Request) {
+// wire computes r's barrier against the pending set — exactly the requests
+// submitted before r that have not completed — without scanning it:
+//
+//   - sector conflicts come from the LBN index, one edge each, except to
+//     a request covered by the next entry at its LBN (see lbnEntry.covers);
+//   - Back and Full wait on the byID watermark ("every pending ID <= X"),
+//     Part and chains' flagged barrier on the flagged one ("every pending
+//     flagged ID < r.ID"), one unit each;
+//   - chains' DependsOn IDs are looked up in pending, one edge each.
+//
+// The predecessor set is the one Predecessors computes. OrderingStalls
+// needs only whether one member does not conflict with r; conflicting
+// members are few, so await stops at the first non-conflicting one unless
+// an observer wants the whole set, which predScratch then holds sorted.
+func (d *Driver) wire(r *Request) {
 	collect := d.obs != nil
 	d.predScratch = d.predScratch[:0]
-	ordered := false
-	add := func(q *Request) {
-		if predecessorOf(d.cfg, r, q, d.lastFlagID) {
-			q.blocks = append(q.blocks, r)
-			r.nwait++
-			if !conflicts(r, q) {
-				ordered = true
-			}
-			if collect {
-				d.predScratch = append(d.predScratch, q.ID)
+
+	// A pending request starting maxCount or more sectors before r ends
+	// before r begins. Entries at one LBN share a bucket, so the entry a
+	// covered one is covered by is the next in its bucket.
+	lo, end := r.LBN-int64(d.maxCount)+1, r.end()
+	for b := d.byLBN.bucket(lo); b <= d.byLBN.bucket(end-1); b++ {
+		s := d.byLBN.buckets[b]
+		for i := searchEntries(s, lo, 0); i < len(s) && s[i].lbn < end; i++ {
+			if e := &s[i]; !e.conflicts(r) {
+				continue
+			} else if i+1 < len(s) && s[i+1].covers(e) {
+				if collect {
+					d.predScratch = append(d.predScratch, e.r.ID)
+				}
+			} else {
+				d.edge(e.r, r, collect)
 			}
 		}
 	}
-	for _, q := range d.inflight {
-		add(q)
+
+	stall := false
+	switch d.cfg.Mode {
+	case ModeFlag:
+		if d.cfg.NR && r.Op == disk.Read {
+			break // reads bypass ordering, conflicts already handled
+		}
+		switch d.cfg.Sem {
+		case SemPart:
+			stall = d.await(r, &d.flagged, &d.drainFlag, r.ID-1, collect)
+		case SemBack:
+			stall = d.await(r, &d.byID, &d.drainAll, d.lastFlagID, collect)
+		case SemFull:
+			upto := d.lastFlagID
+			if r.Flag {
+				upto = r.ID - 1 // a flagged request waits for everything before it
+			}
+			stall = d.await(r, &d.byID, &d.drainAll, upto, collect)
+		}
+	case ModeChains:
+		if r.Op == disk.Write {
+			stall = d.await(r, &d.flagged, &d.drainFlag, r.ID-1, collect)
+		}
+		for i, id := range r.DependsOn {
+			q := d.pending[id]
+			if q == nil || conflicts(r, q) || slices.Contains(r.DependsOn[:i], id) {
+				continue // completed, already an edge, or listed twice
+			}
+			d.edge(q, r, collect)
+			stall = true
+		}
 	}
-	for _, q := range d.queue {
-		add(q)
-	}
-	if ordered {
+	if stall {
 		d.OrderingStalls++
+	}
+	if collect {
+		slices.Sort(d.predScratch)
+		d.predScratch = slices.Compact(d.predScratch)
 	}
 }
 
+// edge makes r wait for pending request q to leave the pending set.
+func (d *Driver) edge(q, r *Request, collect bool) {
+	q.blocks = append(q.blocks, r)
+	r.nwait++
+	if collect {
+		d.predScratch = append(d.predScratch, q.ID)
+	}
+}
+
+// await makes r wait until no request with ID <= upto remains on l, if any
+// does now, and reports whether one of them does not conflict with r (an
+// ordering stall). Watermark waiters join w in submission order, which is
+// also ascending upto order (see drainQueue.push).
+func (d *Driver) await(r *Request, l *idList, w *drainQueue, upto uint64, collect bool) (stall bool) {
+	if l.head == nil || l.head.ID > upto {
+		return false
+	}
+	r.nwait++
+	w.push(drainWait{r: r, upto: upto})
+	for q := l.head; q != nil && q.ID <= upto; q = l.link(q).next {
+		if !conflicts(r, q) {
+			stall = true
+			if !collect {
+				break
+			}
+		}
+		if collect {
+			d.predScratch = append(d.predScratch, q.ID)
+		}
+	}
+	return stall
+}
+
+// Predecessors computes the ordering barrier of r: the IDs among `prior`
+// — the pending (submitted, not completed) requests that precede r, in
+// any order — that must complete before r may be dispatched under cfg.
+// lastFlagID is the ID of the most recently submitted flagged request at
+// r's submission time (zero if none; relevant to ModeFlag only).
+//
+// This is the relation Submit enforces, stated pairwise and evaluated by
+// brute force over prior. The driver reaches the same set through its
+// indexes and drain watermarks (see wire); the crash-state model checker
+// (package crashmc) relies on that set, and the flag-semantics and
+// differential tests pin the driver to this definition.
+func Predecessors(cfg Config, r *Request, prior []*Request, lastFlagID uint64) map[uint64]struct{} {
+	waiting := make(map[uint64]struct{})
+	for _, q := range prior {
+		if predecessorOf(cfg, r, q, lastFlagID) {
+			waiting[q.ID] = struct{}{}
+		}
+	}
+	return waiting
+}
+
 // predecessorOf reports whether pending request q must complete before r
-// may be dispatched under cfg. It is evaluated once per (q, r) pair, so
-// the barrier graph has exactly one edge per ordered pair and completion
-// bookkeeping can be a plain counter decrement.
+// may be dispatched under cfg.
 func predecessorOf(cfg Config, r, q *Request, lastFlagID uint64) bool {
 	// Conflicts: overlapping ranges where at least one side writes never
 	// reorder, in every mode.
@@ -520,109 +640,99 @@ func predecessorOf(cfg Config, r, q *Request, lastFlagID uint64) bool {
 		}
 		// Explicit dependency lists; IDs no longer pending dropped out by
 		// construction (q ranges over pending requests only).
-		for _, id := range r.DependsOn {
-			if id == q.ID {
-				return true
-			}
-		}
+		return slices.Contains(r.DependsOn, q.ID)
 	}
 	return false
 }
 
-// Predecessors computes the ordering barrier of r: the IDs among `prior`
-// — the pending (submitted, not completed) requests that precede r, in
-// any order — that must complete before r may be dispatched under cfg.
-// lastFlagID is the ID of the most recently submitted flagged request at
-// r's submission time (zero if none; relevant to ModeFlag only).
-//
-// This is the exact predicate Submit enforces (predecessorOf, applied to
-// each pending request); it is exported because the crash-state model
-// checker (package crashmc) uses the same relation to decide which
-// completed-subsets of pending writes a crash could legally expose, and
-// because the flag-semantics tests pin its behavior directly.
-func Predecessors(cfg Config, r *Request, prior []*Request, lastFlagID uint64) map[uint64]struct{} {
-	waiting := make(map[uint64]struct{})
-	for _, q := range prior {
-		if predecessorOf(cfg, r, q, lastFlagID) {
-			waiting[q.ID] = struct{}{}
-		}
+// enqueue appends r to the queue: it takes the next queue position and, if
+// it holds no wait unit, joins the eligible set.
+func (d *Driver) enqueue(r *Request) {
+	r.qseq = d.nextQseq
+	d.nextQseq++
+	d.queued++
+	if r.nwait == 0 {
+		d.elig.insert(r, r.qseq)
 	}
-	return waiting
 }
 
-func (r *Request) eligible() bool { return r.nwait == 0 }
+// unblock releases one of r's wait units at now.
+func (d *Driver) unblock(r *Request, now sim.Time) {
+	r.nwait--
+	if r.nwait == 0 {
+		r.readyAt = now
+		d.elig.insert(r, r.qseq)
+	}
+}
+
+// leave removes finished (completed or failed) requests from the pending
+// set and releases what waited on them: their edges, then every watermark
+// waiter whose bound the low-water marks have passed. A failed request
+// leaves exactly as a completed one does — its data never reached the
+// media, so it constrains nothing.
+func (d *Driver) leave(rs []*Request, now sim.Time) {
+	for _, r := range rs {
+		delete(d.pending, r.ID)
+		d.byID.remove(r)
+		if r.Flag {
+			d.flagged.remove(r)
+		}
+		d.byLBN.remove(r, r.ID)
+	}
+	for _, r := range rs {
+		for i, blocked := range r.blocks {
+			d.unblock(blocked, now)
+			r.blocks[i] = nil
+		}
+		r.blocks = r.blocks[:0]
+	}
+	d.drain(&d.drainAll, &d.byID, now)
+	d.drain(&d.drainFlag, &d.flagged, now)
+}
+
+// drain releases w's waiters whose bound lies below l's low-water mark.
+func (d *Driver) drain(w *drainQueue, l *idList, now sim.Time) {
+	low := uint64(math.MaxUint64)
+	if l.head != nil {
+		low = l.head.ID
+	}
+	for w.head < len(w.w) && w.w[w.head].upto < low {
+		r := w.w[w.head].r
+		w.w[w.head] = drainWait{}
+		w.head++
+		d.unblock(r, now)
+	}
+}
 
 // kick dispatches the next batch if the disk is idle and work is eligible.
+// C-LOOK picks the eligible request with the smallest LBN at or after the
+// head position, wrapping to the smallest LBN when none is ahead; then the
+// batch gathers eligible same-op requests exactly contiguous after it, up
+// to the concatenation cap — the paper's "scheduling code in the device
+// driver concatenates sequential requests". At equal LBNs the
+// earliest-queued request wins, in both steps.
 func (d *Driver) kick() {
-	if d.crashed || len(d.inflight) > 0 || len(d.queue) == 0 {
-		return
+	if d.crashed || len(d.inflight) > 0 || d.elig.n == 0 {
+		return // idle with nothing eligible: a completion will re-kick
 	}
-	pick := d.pickCLOOK()
+	pick := d.elig.ceil(d.headLBN)
 	if pick == nil {
-		return // everything is barrier-blocked; a completion will re-kick
+		pick = d.elig.ceil(0)
 	}
-	batch := d.concat(pick)
-	d.dispatch(batch)
-}
-
-// pickCLOOK selects the eligible request with the smallest LBN at or after
-// the head position, wrapping to the smallest LBN when none is ahead.
-func (d *Driver) pickCLOOK() *Request {
-	var ahead, first *Request
-	for _, r := range d.queue {
-		if !r.eligible() {
-			continue
-		}
-		if first == nil || r.LBN < first.LBN {
-			first = r
-		}
-		if r.LBN >= d.headLBN && (ahead == nil || r.LBN < ahead.LBN) {
-			ahead = r
-		}
-	}
-	if ahead != nil {
-		return ahead
-	}
-	return first
-}
-
-// concat gathers pick plus any eligible same-op requests exactly contiguous
-// after it, up to the concatenation cap — the paper's "scheduling code in
-// the device driver concatenates sequential requests". One LBN index per
-// dispatch keeps this linear even with thousands of queued requests.
-func (d *Driver) concat(pick *Request) []*Request {
-	byLBN := d.concatIdx
-	clear(byLBN)
-	for _, r := range d.queue {
-		if r != pick && r.eligible() && r.Op == pick.Op {
-			if _, dup := byLBN[r.LBN]; !dup { // earliest submission wins
-				byLBN[r.LBN] = r
-			}
-		}
-	}
-	batch := []*Request{pick}
-	total := pick.Count
-	end := pick.end()
+	d.batchFlip ^= 1
+	batch := append(d.batchBufs[d.batchFlip][:0], pick)
+	total, end := pick.Count, pick.end()
 	for total < d.cfg.MaxConcat {
-		next := byLBN[end]
+		next := d.elig.first(end, pick.Op)
 		if next == nil || total+next.Count > d.cfg.MaxConcat {
 			break
 		}
-		delete(byLBN, end)
 		batch = append(batch, next)
 		total += next.Count
 		end = next.end()
 	}
-	return batch
-}
-
-func inBatch(batch []*Request, r *Request) bool {
-	for _, b := range batch {
-		if b == r {
-			return true
-		}
-	}
-	return false
+	d.batchBufs[d.batchFlip] = batch
+	d.dispatch(batch)
 }
 
 func (d *Driver) dispatch(batch []*Request) {
@@ -631,15 +741,9 @@ func (d *Driver) dispatch(batch []*Request) {
 	for _, r := range batch {
 		total += r.Count
 		r.dispatchAt = now
+		d.elig.remove(r, r.qseq)
 	}
-	// Remove batch members from the queue, preserving order.
-	out := d.queue[:0]
-	for _, r := range d.queue {
-		if !inBatch(batch, r) {
-			out = append(out, r)
-		}
-	}
-	d.queue = out
+	d.queued -= len(batch)
 	d.inflight = batch
 	d.batchRetries = 0
 	d.headLBN = batch[0].LBN + int64(total)
@@ -659,7 +763,7 @@ func (d *Driver) startBatch(batch []*Request) {
 	d.batchDispatch = now
 	d.batchLBN = batch[0].LBN
 	d.batchState = batchTransferring
-	d.eng.At(now+acc.Service, func() { d.complete(batch, acc) })
+	d.eng.At(now+acc.Service, d.completeFn)
 }
 
 func batchIDs(batch []*Request) []uint64 {
@@ -670,10 +774,12 @@ func batchIDs(batch []*Request) []uint64 {
 	return ids
 }
 
-func (d *Driver) complete(batch []*Request, acc disk.Access) {
+// complete handles the in-flight batch's media completion.
+func (d *Driver) complete() {
 	if d.crashed {
 		return
 	}
+	batch, acc := d.inflight, d.batchAccess
 	now := d.eng.Now()
 	switch f := acc.Fault; f.Kind {
 	case fault.Torn:
@@ -723,21 +829,11 @@ func (d *Driver) complete(batch []*Request, acc disk.Access) {
 			d.dsk.ReadAt(r.LBN, r.Buf)
 		}
 	}
-	for _, r := range batch {
-		delete(d.pending, r.ID)
-	}
+	d.leave(batch, now)
 	if d.obs != nil {
 		d.obs.RequestsCompleted(batchIDs(batch), now)
 	}
 	for _, r := range batch {
-		for i, blocked := range r.blocks {
-			blocked.nwait--
-			if blocked.nwait == 0 {
-				blocked.readyAt = now
-			}
-			r.blocks[i] = nil
-		}
-		r.blocks = r.blocks[:0]
 		d.Trace.Stats = append(d.Trace.Stats, Stat{
 			ID:       r.ID,
 			Op:       r.Op,
@@ -822,28 +918,28 @@ func (d *Driver) scheduleRetry(batch []*Request) {
 	})
 }
 
-// failBatch completes every request in the batch with err: they leave the
-// pending set, unblock their barrier successors (a failed predecessor
-// constrains nothing — its data never reached the media), are traced as
-// failed, and fire Done with Err set.
+// failBatch completes every request in the in-flight batch with err.
 func (d *Driver) failBatch(batch []*Request, err error, now sim.Time) {
-	for _, r := range batch {
-		delete(d.pending, r.ID)
-	}
+	d.inflight = nil
+	d.batchState = batchIdle
+	d.batchRetries = 0
+	d.fail(batch, err, now)
+	d.kick()
+	d.fireIdle()
+}
+
+// fail completes rs with err: they leave the pending set, unblock their
+// barrier successors (a failed predecessor constrains nothing — its data
+// never reached the media), are traced as failed, and fire Done with Err
+// set.
+func (d *Driver) fail(rs []*Request, err error, now sim.Time) {
+	d.leave(rs, now)
 	if fo, ok := d.obs.(FaultObserver); ok {
-		fo.RequestsFailed(batchIDs(batch), now)
+		fo.RequestsFailed(batchIDs(rs), now)
 	}
-	for _, r := range batch {
+	for _, r := range rs {
 		r.Err = err
 		d.Faults.Errors++
-		for i, blocked := range r.blocks {
-			blocked.nwait--
-			if blocked.nwait == 0 {
-				blocked.readyAt = now
-			}
-			r.blocks[i] = nil
-		}
-		r.blocks = r.blocks[:0]
 		d.Trace.Stats = append(d.Trace.Stats, Stat{
 			ID:       r.ID,
 			Op:       r.Op,
@@ -854,62 +950,30 @@ func (d *Driver) failBatch(batch []*Request, err error, now sim.Time) {
 			Failed:   true,
 		})
 	}
-	d.inflight = nil
-	d.batchState = batchIdle
-	d.batchRetries = 0
-	for _, r := range batch {
+	for _, r := range rs {
 		r.Done.Fire(d.eng)
 	}
-	d.kick()
-	d.fireIdle()
 }
 
 // splitReadBatch handles a permanent bad sector under a read batch: the
 // requests whose range covers the sector fail (their data is gone until
-// some write remaps the sector), the others go back to the queue and are
-// dispatched again — their barrier state is untouched, so ordering holds.
+// some write remaps the sector), the others go back to the end of the
+// queue and are dispatched again — their barrier state is untouched, so
+// ordering holds.
 func (d *Driver) splitReadBatch(batch []*Request, bad int64, now sim.Time) {
-	var failed, requeue []*Request
+	var failed []*Request
+	d.inflight = nil
+	d.batchState = batchIdle
+	d.batchRetries = 0
 	for _, r := range batch {
 		if r.LBN <= bad && bad < r.end() {
 			failed = append(failed, r)
 		} else {
-			requeue = append(requeue, r)
+			d.enqueue(r)
 		}
 	}
-	d.inflight = nil
-	d.batchState = batchIdle
-	d.batchRetries = 0
-	d.queue = append(d.queue, requeue...)
 	if len(failed) > 0 {
-		for _, r := range failed {
-			delete(d.pending, r.ID)
-		}
-		if fo, ok := d.obs.(FaultObserver); ok {
-			fo.RequestsFailed(batchIDs(failed), now)
-		}
-		for _, r := range failed {
-			r.Err = ErrBadSector
-			d.Faults.Errors++
-			for i, blocked := range r.blocks {
-				blocked.nwait--
-				if blocked.nwait == 0 {
-					blocked.readyAt = now
-				}
-				r.blocks[i] = nil
-			}
-			r.blocks = r.blocks[:0]
-			d.Trace.Stats = append(d.Trace.Stats, Stat{
-				ID: r.ID, Op: r.Op, Sectors: r.Count,
-				Queue:    r.dispatchAt - r.enqueueAt,
-				Service:  now - r.dispatchAt,
-				Response: now - r.enqueueAt,
-				Failed:   true,
-			})
-		}
-		for _, r := range failed {
-			r.Done.Fire(d.eng)
-		}
+		d.fail(failed, ErrBadSector, now)
 	}
 	d.kick()
 	d.fireIdle()
@@ -980,10 +1044,9 @@ func (d *Driver) Crash(at sim.Time) {
 // (exposed for the ordering layer and for tests).
 func (d *Driver) PendingIDs() []uint64 {
 	ids := make([]uint64, 0, len(d.pending))
-	for id := range d.pending {
-		ids = append(ids, id)
+	for r := d.byID.head; r != nil; r = r.idLink.next {
+		ids = append(ids, r.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -991,4 +1054,204 @@ func (d *Driver) PendingIDs() []uint64 {
 func (d *Driver) IsPending(id uint64) bool {
 	_, ok := d.pending[id]
 	return ok
+}
+
+// link threads a request through one ID-ordered list.
+type link struct{ prev, next *Request }
+
+// idList is an intrusive doubly linked list of pending requests in ID
+// order. Requests join at the tail (IDs are assigned in submission order)
+// and leave from anywhere, so the head is the list's low-water mark.
+type idList struct {
+	head, tail *Request
+	flagged    bool // threads Request.flagLink rather than Request.idLink
+}
+
+func (l *idList) link(r *Request) *link {
+	if l.flagged {
+		return &r.flagLink
+	}
+	return &r.idLink
+}
+
+func (l *idList) push(r *Request) {
+	*l.link(r) = link{prev: l.tail}
+	if l.tail != nil {
+		l.link(l.tail).next = r
+	} else {
+		l.head = r
+	}
+	l.tail = r
+}
+
+func (l *idList) remove(r *Request) {
+	ln := l.link(r)
+	if ln.prev != nil {
+		l.link(ln.prev).next = ln.next
+	} else {
+		l.head = ln.next
+	}
+	if ln.next != nil {
+		l.link(ln.next).prev = ln.prev
+	} else {
+		l.tail = ln.prev
+	}
+	*ln = link{}
+}
+
+// drainWait is a request waiting until no request with ID <= upto remains
+// on a list.
+type drainWait struct {
+	r    *Request
+	upto uint64
+}
+
+// drainQueue holds one list's watermark waiters in ascending upto order, so
+// releasing them is popping from the front.
+type drainQueue struct {
+	w    []drainWait
+	head int // w[:head] are released
+}
+
+// push appends a waiter. Bounds arrive in ascending order: Part and chains
+// wait on r.ID-1, which grows with every submission; Back waits on
+// lastFlagID, which never shrinks; Full waits on r.ID-1 for a flagged r,
+// after which lastFlagID = r.ID.
+func (q *drainQueue) push(w drainWait) {
+	if n := len(q.w); n > q.head && q.w[n-1].upto > w.upto {
+		panic("dev: drain watermark waiters out of order")
+	}
+	if q.head > 0 && q.head >= len(q.w)/2 {
+		n := copy(q.w, q.w[q.head:])
+		clear(q.w[n:])
+		q.w, q.head = q.w[:n], 0
+	}
+	q.w = append(q.w, w)
+}
+
+// lbnEntry is one request in an lbnIndex, with its sort key and what a
+// conflict check needs inline.
+type lbnEntry struct {
+	lbn   int64
+	key   uint64
+	r     *Request
+	count int32
+	write bool
+}
+
+// conflicts is conflicts(r, e.r).
+func (e *lbnEntry) conflicts(r *Request) bool {
+	return e.lbn < r.end() && r.LBN < e.lbn+int64(e.count) && (e.write || r.Op == disk.Write)
+}
+
+// covers reports whether e, the entry after p in an index keyed by ID,
+// is a later pending write over at least p's range. Such a write conflicts
+// with p, so it cannot be dispatched, let alone leave the pending set,
+// before p has left: a request that conflicts with p also conflicts with
+// e, and waiting for e alone releases it at the same instant as waiting
+// for both. Piles of rewrites of one block are common (Part-NR/CB queues
+// dozens), and this keeps their edges from growing with the pile.
+func (e *lbnEntry) covers(p *lbnEntry) bool {
+	return e.write && e.lbn == p.lbn && e.count >= p.count
+}
+
+// lbnShift sizes an lbnIndex bucket: 256 sectors, 128 KB of disk.
+const lbnShift = 8
+
+// lbnIndex is a set of requests ordered by (LBN, key). Bucket b holds the
+// entries with LBN>>lbnShift == b (the last bucket also any beyond the
+// disk) as a sorted slice, and bit b of nonEmpty says whether it has any.
+// An insert or delete moves only its bucket's entries; a range lookup
+// searches only the buckets the range spans, and finding the next entry
+// past an empty stretch scans a bitmap word per 64 buckets.
+type lbnIndex struct {
+	buckets  [][]lbnEntry
+	nonEmpty []uint64
+	n        int // entries
+}
+
+func newLBNIndex(sectors int64) lbnIndex {
+	nb := int(sectors>>lbnShift) + 1
+	return lbnIndex{buckets: make([][]lbnEntry, nb), nonEmpty: make([]uint64, (nb+63)/64)}
+}
+
+func (x *lbnIndex) bucket(lbn int64) int {
+	return int(min(max(lbn, 0)>>lbnShift, int64(len(x.buckets)-1)))
+}
+
+// searchEntries returns the position of the first entry of s at or after
+// (lbn, key).
+func searchEntries(s []lbnEntry, lbn int64, key uint64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e := s[m]; e.lbn < lbn || e.lbn == lbn && e.key < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+func (x *lbnIndex) insert(r *Request, key uint64) {
+	b := x.bucket(r.LBN)
+	s := x.buckets[b]
+	x.buckets[b] = slices.Insert(s, searchEntries(s, r.LBN, key), lbnEntry{
+		lbn: r.LBN, key: key, r: r, count: int32(r.Count), write: r.Op == disk.Write,
+	})
+	x.nonEmpty[b/64] |= 1 << (b % 64)
+	x.n++
+}
+
+func (x *lbnIndex) remove(r *Request, key uint64) {
+	b := x.bucket(r.LBN)
+	s := x.buckets[b]
+	i := searchEntries(s, r.LBN, key)
+	if i == len(s) || s[i].r != r {
+		panic("dev: request missing from its LBN index")
+	}
+	s = slices.Delete(s, i, i+1)
+	x.buckets[b] = s
+	if len(s) == 0 {
+		x.nonEmpty[b/64] &^= 1 << (b % 64)
+	}
+	x.n--
+}
+
+// ceil returns the lowest-keyed request at the smallest LBN >= lbn, or
+// nil if there is none.
+func (x *lbnIndex) ceil(lbn int64) *Request {
+	b := x.bucket(lbn)
+	if s := x.buckets[b]; len(s) > 0 {
+		if i := searchEntries(s, lbn, 0); i < len(s) {
+			return s[i].r
+		}
+	}
+	// The first entry of the first non-empty bucket after b.
+	b++
+	w := b / 64
+	if w >= len(x.nonEmpty) {
+		return nil
+	}
+	word := x.nonEmpty[w] &^ (1<<(b%64) - 1)
+	for word == 0 {
+		if w++; w == len(x.nonEmpty) {
+			return nil
+		}
+		word = x.nonEmpty[w]
+	}
+	return x.buckets[w*64+bits.TrailingZeros64(word)][0].r
+}
+
+// first returns the lowest-keyed request starting exactly at lbn with
+// operation op, or nil.
+func (x *lbnIndex) first(lbn int64, op disk.Op) *Request {
+	s := x.buckets[x.bucket(lbn)]
+	for i := searchEntries(s, lbn, 0); i < len(s) && s[i].lbn == lbn; i++ {
+		if s[i].r.Op == op {
+			return s[i].r
+		}
+	}
+	return nil
 }

@@ -10,10 +10,11 @@ import (
 
 // The ordering-flag semantics (section 3.1) distilled to their predicate:
 // given a request and the set of prior pending requests, which of them must
-// complete first? dev.Predecessors is the single implementation the driver
-// enforces at dispatch time and the crashmc model checker replays when
-// deciding which crash-state subsets are legal, so these tables pin the
-// semantics both rely on.
+// complete first? dev.Predecessors is the relation's brute-force definition:
+// the driver reaches the same set through its indexes and drain watermarks
+// (pinned by the differential test), and the crashmc model checker relies on
+// it when deciding which crash-state subsets are legal, so these tables pin
+// the semantics both rely on.
 
 func wr(id uint64, lbn int64, count int) *dev.Request {
 	return &dev.Request{ID: id, Op: disk.Write, LBN: lbn, Count: count}
@@ -141,8 +142,8 @@ func TestPredecessorsSemantics(t *testing.T) {
 func TestPredecessorsMatchesDriver(t *testing.T) {
 	// A flagged write followed by an ordinary write under Part semantics:
 	// the driver must hold the second write until the first completes.
-	// (Covered behaviorally by the scheme tests; here we only assert the
-	// predicate is what computeBarrier consults, via the observer.)
+	// (The driver's side is pinned by TestDriverMatchesReferenceModel; here
+	// we only assert the predicate's answer.)
 	cfg := dev.Config{Mode: dev.ModeFlag, Sem: dev.SemPart}
 	prior := []*dev.Request{flagged(wr(1, 100, 8))}
 	r := wr(2, 300, 8)

@@ -107,23 +107,31 @@ type Access struct {
 	Fault fault.Outcome
 }
 
-// chunkBytes is the granularity of lazy media materialization. The harness
+// pageBytes is the granularity of lazy media materialization. The harness
 // creates hundreds of Systems per sweep, each with a media limit in the
-// hundreds of megabytes but a working set of a few megabytes; allocating
-// (and zeroing) the full limit up front dominated whole-suite CPU time, so
-// media chunks come into existence only when first written.
-const chunkBytes = 1 << 20
+// hundreds of megabytes but a working set of a few megabytes, so media
+// pages come into existence only when first written. Pages must be small:
+// FFS spreads directories and their files across cylinder groups, and at
+// 1 MiB granularity a 4-user Table 1 copy cell materialized (and zeroed)
+// 191 of its disk's 384 chunks to hold about 6 MiB of written sectors.
+// 16 KiB ran the closed-exhibits benchmark fastest of 2, 4, 8 and 16 KiB:
+// smaller pages zero less but cost more allocations and a larger page
+// table.
+const pageBytes = 16 << 10
+
+// page is one materialized piece of media.
+type page [pageBytes]byte
 
 // Disk is the drive model plus its media contents.
 type Disk struct {
 	P    Params
 	size int64 // materialized media bytes (whole sectors)
-	// chunks holds the media in chunkBytes pieces; a nil chunk reads as
-	// zeros and is allocated on first write. After Image() flattens the
-	// media, every chunk aliases a window of the flat slice, so chunk
-	// writes and the returned image stay coherent.
-	chunks [][]byte
-	flat   []byte // non-nil once Image has flattened the media
+	// pages holds the media in pageBytes pieces; a nil page reads as zeros
+	// and is allocated on first write. After Image() flattens the media,
+	// every page aliases a window of the flat slice, so page writes and the
+	// returned image stay coherent.
+	pages []*page
+	flat  []byte // non-nil once Image has flattened the media
 
 	headCyl int // current cylinder
 
@@ -158,7 +166,7 @@ type Disk struct {
 // `sizeLimit` bytes of media are addressable (the file systems in this
 // repository use far less than the full 1 GB); accesses past the limit
 // panic, which always indicates an addressing bug. Media is materialized
-// lazily in chunkBytes pieces, so an untouched region costs nothing.
+// lazily in pageBytes pieces, so an untouched region costs nothing.
 func New(p Params, sizeLimit int64) *Disk {
 	if sizeLimit <= 0 || sizeLimit > p.Capacity() {
 		sizeLimit = p.Capacity()
@@ -168,7 +176,7 @@ func New(p Params, sizeLimit int64) *Disk {
 	return &Disk{
 		P:              p,
 		size:           sizeLimit,
-		chunks:         make([][]byte, (sizeLimit+chunkBytes-1)/chunkBytes),
+		pages:          make([]*page, (sizeLimit+pageBytes-1)/pageBytes),
 		mediaPerSector: sim.Duration(int64(p.RevTime()) / int64(p.SectorsPerTrack)),
 		preStart:       -1,
 		preEnd:         -1,
@@ -212,50 +220,38 @@ func (d *Disk) Remap(lbn int64) bool {
 	return true
 }
 
-// chunkLen returns the byte length of chunk i (the last chunk may be short).
-func (d *Disk) chunkLen(i int64) int {
-	if n := d.size - i*chunkBytes; n < chunkBytes {
-		return int(n)
-	}
-	return chunkBytes
-}
-
-// writeAt copies p onto the media at byte offset off, materializing chunks
+// writeAt copies p onto the media at byte offset off, materializing pages
 // as needed.
 func (d *Disk) writeAt(off int64, p []byte) {
 	if off < 0 || off+int64(len(p)) > d.size {
 		panic(fmt.Sprintf("disk: write [%d,%d) outside media [0,%d)", off, off+int64(len(p)), d.size))
 	}
 	for len(p) > 0 {
-		ci, co := off/chunkBytes, off%chunkBytes
-		c := d.chunks[ci]
-		if c == nil {
-			c = make([]byte, d.chunkLen(ci))
-			d.chunks[ci] = c
+		pg := d.pages[off/pageBytes]
+		if pg == nil {
+			pg = new(page)
+			d.pages[off/pageBytes] = pg
 		}
-		n := copy(c[co:], p)
+		n := copy(pg[off%pageBytes:], p)
 		p = p[n:]
 		off += int64(n)
 	}
 }
 
-// readAt fills buf from media byte offset off; unmaterialized chunks read
-// as zeros.
+// readAt fills buf from media byte offset off; unmaterialized pages read as
+// zeros.
 func (d *Disk) readAt(off int64, buf []byte) {
 	if off < 0 || off+int64(len(buf)) > d.size {
 		panic(fmt.Sprintf("disk: read [%d,%d) outside media [0,%d)", off, off+int64(len(buf)), d.size))
 	}
 	for len(buf) > 0 {
-		ci, co := off/chunkBytes, off%chunkBytes
+		po := off % pageBytes
 		var n int
-		if c := d.chunks[ci]; c == nil {
-			n = d.chunkLen(ci) - int(co)
-			if n > len(buf) {
-				n = len(buf)
-			}
+		if pg := d.pages[off/pageBytes]; pg == nil {
+			n = min(pageBytes-int(po), len(buf))
 			clear(buf[:n])
 		} else {
-			n = copy(buf, c[co:])
+			n = copy(buf, pg[po:])
 		}
 		buf = buf[n:]
 		off += int64(n)
@@ -455,24 +451,22 @@ func (d *Disk) ReadAt(lbn int64, buf []byte) {
 // (fsim.System.Crash, the crash tests, the crashmc base snapshot) must use
 // CloneImage instead.
 //
-// The first call flattens the lazily-chunked media into one contiguous
-// slice and re-points every chunk into it, so the aliasing guarantee holds
-// across later writes; the flattening cost (size-of-media allocation) is
-// paid only by callers that need the raw image.
+// The first call flattens the lazily-paged media into one contiguous slice
+// and re-points every page into it, so the aliasing guarantee holds across
+// later writes; the flattening cost (size-of-media allocation) is paid only
+// by callers that need the raw image. The flat slice's capacity is rounded
+// up to whole pages so that a short last page can alias it too.
 func (d *Disk) Image() []byte {
 	if d.flat == nil {
-		flat := make([]byte, d.size)
-		for i, c := range d.chunks {
-			if c != nil {
-				copy(flat[int64(i)*chunkBytes:], c)
+		flat := make([]byte, int64(len(d.pages))*pageBytes)
+		for i, pg := range d.pages {
+			lo := int64(i) * pageBytes
+			if pg != nil {
+				copy(flat[lo:], pg[:])
 			}
+			d.pages[i] = (*page)(flat[lo : lo+pageBytes])
 		}
-		for i := range d.chunks {
-			lo := int64(i) * chunkBytes
-			hi := lo + int64(d.chunkLen(int64(i)))
-			d.chunks[i] = flat[lo:hi:hi]
-		}
-		d.flat = flat
+		d.flat = flat[:d.size:d.size]
 	}
 	return d.flat
 }
@@ -482,9 +476,9 @@ func (d *Disk) Image() []byte {
 // aliasing hazard it avoids).
 func (d *Disk) CloneImage() []byte {
 	c := make([]byte, d.size)
-	for i, ch := range d.chunks {
-		if ch != nil {
-			copy(c[int64(i)*chunkBytes:], ch)
+	for i, pg := range d.pages {
+		if pg != nil {
+			copy(c[int64(i)*pageBytes:], pg[:])
 		}
 	}
 	return c
