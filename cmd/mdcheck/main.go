@@ -28,28 +28,6 @@ import (
 	"metaupdate/internal/harness"
 )
 
-func parseScheme(s string) (fsim.Scheme, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "conventional":
-		return fsim.Conventional, nil
-	case "flag":
-		return fsim.SchedulerFlag, nil
-	case "chains":
-		return fsim.SchedulerChains, nil
-	case "softupdates", "soft":
-		return fsim.SoftUpdates, nil
-	case "noorder":
-		return fsim.NoOrder, nil
-	case "nvram":
-		return fsim.NVRAM, nil
-	case "journaling", "journal":
-		return fsim.Journaling, nil
-	case "async", "asyncdurability":
-		return fsim.AsyncDurability, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (conventional|flag|chains|softupdates|noorder|nvram|journaling|async)", s)
-}
-
 func main() {
 	schemes := flag.String("schemes", "conventional,flag,chains,softupdates,noorder,journaling,async",
 		"comma-separated ordering schemes to check")
@@ -73,7 +51,7 @@ func main() {
 
 	var list []fsim.Scheme
 	for _, name := range strings.Split(*schemes, ",") {
-		s, err := parseScheme(name)
+		s, err := fsim.ParseScheme(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mdcheck:", err)
 			os.Exit(2)

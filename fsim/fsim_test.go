@@ -3,6 +3,7 @@ package fsim_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"metaupdate/fsim"
@@ -175,6 +176,46 @@ func TestSchemeStrings(t *testing.T) {
 	}
 	if len(fsim.Schemes) != 7 {
 		t.Errorf("Schemes has %d entries", len(fsim.Schemes))
+	}
+}
+
+// TestParseScheme round-trips every command-line name, aliases included,
+// through ParseScheme, and requires every scheme to have a name.
+func TestParseScheme(t *testing.T) {
+	names := []struct {
+		name string
+		want fsim.Scheme
+	}{
+		{"conventional", fsim.Conventional},
+		{"flag", fsim.SchedulerFlag},
+		{"chains", fsim.SchedulerChains},
+		{"softupdates", fsim.SoftUpdates},
+		{"soft", fsim.SoftUpdates},
+		{"noorder", fsim.NoOrder},
+		{"nvram", fsim.NVRAM},
+		{"journaling", fsim.Journaling},
+		{"journal", fsim.Journaling},
+		{"async", fsim.AsyncDurability},
+		{"asyncdurability", fsim.AsyncDurability},
+	}
+	named := map[fsim.Scheme]bool{}
+	for _, n := range names {
+		for _, in := range []string{n.name, strings.ToUpper(n.name), " " + n.name + "\t"} {
+			got, err := fsim.ParseScheme(in)
+			if err != nil || got != n.want {
+				t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, n.want)
+			}
+		}
+		named[n.want] = true
+	}
+	for _, s := range append([]fsim.Scheme{fsim.NVRAM}, fsim.Schemes...) {
+		if !named[s] {
+			t.Errorf("%v has no command-line name", s)
+		}
+	}
+	_, err := fsim.ParseScheme("ordered")
+	if err == nil || !strings.Contains(err.Error(), "conventional|flag|chains|softupdates|noorder|nvram|journaling|async") {
+		t.Errorf("ParseScheme(unknown) error = %v, want one listing the valid names", err)
 	}
 }
 

@@ -141,10 +141,11 @@ func (fs *FS) allocIndirectAt(p *sim.Proc, ino Ino, owner *cache.Buf, ptrOff int
 	return frag, nil
 }
 
-// blockRun returns the fragment address and run length of file block bi for
-// a file of the given size (bi must be < blocksOf(size)).
-func blockRunLen(size uint64, bi int) int {
-	if bi == blocksOf(size)-1 {
+// BlockRunLen returns how many fragments file block bi of a file of the
+// given size occupies: BlockFrags, except for a partial final block (bi
+// must be < BlocksOf(size)).
+func BlockRunLen(size uint64, bi int) int {
+	if bi == BlocksOf(size)-1 {
 		return lastBlockFrags(size)
 	}
 	return BlockFrags
@@ -163,10 +164,8 @@ func (fs *FS) readBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi
 	if frag == 0 {
 		return nil, fmt.Errorf("ffs: hole at block %d of inode %d", bi, ino)
 	}
-	return fs.cache.Bread(p, int64(frag), blockRunLenForRead(ip.Size, bi))
+	return fs.cache.Bread(p, int64(frag), BlockRunLen(ip.Size, bi))
 }
-
-func blockRunLenForRead(size uint64, bi int) int { return blockRunLen(size, bi) }
 
 // growBlock makes file block bi exist with wantNF fragments, extending or
 // moving the existing partial run if needed, and returns its buffer. fill
@@ -183,11 +182,11 @@ func (fs *FS) growBlock(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff, bi
 	// concurrent (or our own) cache eviction replacing it would orphan the
 	// pointer/size updates we are about to store.
 	defer ib.Hold().Unhold()
-	curBlocks := blocksOf(ip.Size)
+	curBlocks := BlocksOf(ip.Size)
 	oldSize := ip.Size
 
 	if bi < curBlocks {
-		oldNF := blockRunLen(ip.Size, bi)
+		oldNF := BlockRunLen(ip.Size, bi)
 		loc, _, err := fs.locatePtr(p, ino, ip, ib, ioff, bi, false)
 		if err != nil {
 			return nil, err
@@ -372,14 +371,14 @@ func (fs *FS) updateSizeRaw(p *sim.Proc, ip *Inode, ib *cache.Buf, ioff int, new
 // the rest — fsck's free-map reconciliation is the backstop.
 func (fs *FS) collectRuns(p *sim.Proc, ip *Inode) ([]FragRun, error) {
 	var runs []FragRun
-	nblocks := blocksOf(ip.Size)
+	nblocks := BlocksOf(ip.Size)
 	add := func(frag int32, n int) {
 		if frag != 0 {
 			runs = append(runs, FragRun{Start: frag, N: n})
 		}
 	}
 	for bi := 0; bi < nblocks && bi < NDirect; bi++ {
-		add(ip.Direct[bi], blockRunLen(ip.Size, bi))
+		add(ip.Direct[bi], BlockRunLen(ip.Size, bi))
 	}
 	if ip.Indir != 0 {
 		nb, err := fs.cache.Bread(p, int64(ip.Indir), BlockFrags)
@@ -391,7 +390,7 @@ func (fs *FS) collectRuns(p *sim.Proc, ip *Inode) ([]FragRun, error) {
 			if bi >= nblocks {
 				break
 			}
-			add(getPtr(nb.Data, i*4), blockRunLen(ip.Size, bi))
+			add(getPtr(nb.Data, i*4), BlockRunLen(ip.Size, bi))
 		}
 		add(ip.Indir, BlockFrags)
 	}
@@ -418,7 +417,7 @@ func (fs *FS) collectRuns(p *sim.Proc, ip *Inode) ([]FragRun, error) {
 				if bi >= nblocks {
 					break
 				}
-				add(getPtr(nb.Data, l2*4), blockRunLen(ip.Size, bi))
+				add(getPtr(nb.Data, l2*4), BlockRunLen(ip.Size, bi))
 			}
 			add(l1frag, BlockFrags)
 		}

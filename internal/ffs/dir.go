@@ -17,7 +17,7 @@ import (
 // are 512 bytes and writes are sector-atomic, a crash can never tear an
 // individual entry — the property all four ordering schemes rely on.
 const (
-	direntHdr  = 8
+	DirentHdr  = 8 // bytes of ino, reclen, namelen and ftype before the name
 	maxNameLen = 255
 )
 
@@ -29,7 +29,7 @@ const (
 
 // entrySpace returns the aligned space a name needs.
 func entrySpace(namelen int) int {
-	return (direntHdr + namelen + 3) &^ 3
+	return (DirentHdr + namelen + 3) &^ 3
 }
 
 // Dirent is a decoded directory entry.
@@ -41,13 +41,14 @@ type Dirent struct {
 	Off    int // byte offset within the directory block data
 }
 
-func putDirent(b []byte, ino Ino, reclen int, name string, ftype uint8) {
+// PutDirent encodes one directory entry at the start of b.
+func PutDirent(b []byte, ino Ino, reclen int, name string, ftype uint8) {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], uint32(ino))
 	le.PutUint16(b[4:], uint16(reclen))
 	b[6] = uint8(len(name))
 	b[7] = ftype
-	copy(b[direntHdr:], name)
+	copy(b[DirentHdr:], name)
 }
 
 func readDirent(b []byte, off int) Dirent {
@@ -56,7 +57,7 @@ func readDirent(b []byte, off int) Dirent {
 	return Dirent{
 		Ino:    Ino(le.Uint32(b[off:])),
 		Reclen: int(le.Uint16(b[off+4:])),
-		Name:   string(b[off+direntHdr : off+direntHdr+namelen]),
+		Name:   string(b[off+DirentHdr : off+DirentHdr+namelen]),
 		Ftype:  b[off+7],
 		Off:    off,
 	}
@@ -66,7 +67,7 @@ func readDirent(b []byte, off int) Dirent {
 // single empty entry owning the whole chunk.
 func initDirChunks(b []byte) {
 	for off := 0; off < len(b); off += DirChunk {
-		putDirent(b[off:], 0, DirChunk, "", 0)
+		PutDirent(b[off:], 0, DirChunk, "", 0)
 	}
 }
 
@@ -113,7 +114,7 @@ func findEntry(data []byte, name string) (Dirent, bool, int) {
 			ino := Ino(le.Uint32(data[off:]))
 			namelen := int(data[off+6])
 			if ino != 0 && namelen == len(name) &&
-				string(data[off+direntHdr:off+direntHdr+namelen]) == name {
+				string(data[off+DirentHdr:off+DirentHdr+namelen]) == name {
 				return readDirent(data, off), true, scanned
 			}
 			off += reclen
@@ -138,7 +139,7 @@ func addEntryInData(data []byte, name string, ino Ino, ftype uint8) (off int, ok
 			entIno := Ino(le.Uint32(data[off:]))
 			if entIno == 0 && reclen >= need {
 				// Claim the free entry's space.
-				putDirent(data[off:], ino, reclen, name, ftype)
+				PutDirent(data[off:], ino, reclen, name, ftype)
 				return off, true
 			}
 			used := entrySpace(int(data[off+6]))
@@ -146,7 +147,7 @@ func addEntryInData(data []byte, name string, ino Ino, ftype uint8) (off int, ok
 				// Split the slack off the live entry.
 				le.PutUint16(data[off+4:], uint16(used))
 				newOff := off + used
-				putDirent(data[newOff:], ino, reclen-used, name, ftype)
+				PutDirent(data[newOff:], ino, reclen-used, name, ftype)
 				return newOff, true
 			}
 			off += reclen
@@ -182,7 +183,7 @@ func removeEntryInData(data []byte, off int) int {
 		return prev
 	}
 	// First entry of the chunk: becomes an unused entry owning its space.
-	putDirent(data[off:], 0, victimReclen, "", 0)
+	PutDirent(data[off:], 0, victimReclen, "", 0)
 	return off
 }
 
@@ -201,7 +202,7 @@ func countLive(data []byte) (live int, nonDot bool) {
 			if Ino(le.Uint32(data[off:])) != 0 {
 				live++
 				namelen := int(data[off+6])
-				name := data[off+direntHdr : off+direntHdr+namelen]
+				name := data[off+DirentHdr : off+DirentHdr+namelen]
 				if !(namelen == 1 && name[0] == '.') &&
 					!(namelen == 2 && name[0] == '.' && name[1] == '.') {
 					nonDot = true

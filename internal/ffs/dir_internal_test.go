@@ -12,7 +12,7 @@ func TestEntrySpaceAlignment(t *testing.T) {
 		if s%4 != 0 {
 			t.Fatalf("entrySpace(%d) = %d not 4-aligned", namelen, s)
 		}
-		if s < direntHdr+namelen {
+		if s < DirentHdr+namelen {
 			t.Fatalf("entrySpace(%d) = %d too small", namelen, s)
 		}
 	}
@@ -226,8 +226,8 @@ func TestBlocksOf(t *testing.T) {
 		want int
 	}{{0, 0}, {1, 1}, {8192, 1}, {8193, 2}, {81920, 10}}
 	for _, c := range cases {
-		if got := blocksOf(c.size); got != c.want {
-			t.Errorf("blocksOf(%d) = %d, want %d", c.size, got, c.want)
+		if got := BlocksOf(c.size); got != c.want {
+			t.Errorf("BlocksOf(%d) = %d, want %d", c.size, got, c.want)
 		}
 	}
 }

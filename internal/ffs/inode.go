@@ -112,8 +112,8 @@ func lastBlockFrags(size uint64) int {
 	return int((rem + FragSize - 1) / FragSize)
 }
 
-// blocksOf returns the number of file blocks (of any size) a file of the
+// BlocksOf returns the number of file blocks (of any size) a file of the
 // given size has.
-func blocksOf(size uint64) int {
+func BlocksOf(size uint64) int {
 	return int((size + BlockSize - 1) / BlockSize)
 }

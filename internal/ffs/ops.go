@@ -16,7 +16,7 @@ import (
 // operation. Every operation releases what it holds before returning.
 
 func validName(name string) error {
-	if len(name) == 0 || len(name) > maxNameLen || len(name) >= DirChunk-direntHdr {
+	if len(name) == 0 || len(name) > maxNameLen || len(name) >= DirChunk-DirentHdr {
 		return ErrNameLen
 	}
 	return nil
@@ -57,7 +57,7 @@ func (fs *FS) lookupLocked(p *sim.Proc, dir Ino, name string) (Ino, *cache.Buf, 
 	if !dip.IsDir() {
 		return 0, nil, 0, ErrNotDir
 	}
-	nblocks := blocksOf(dip.Size)
+	nblocks := BlocksOf(dip.Size)
 	for bi := 0; bi < nblocks; bi++ {
 		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {
@@ -87,7 +87,7 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	}
 	defer fs.rele(dib)
 	fs.charge(p, fs.cfg.Costs.DirModify)
-	nblocks := blocksOf(dip.Size)
+	nblocks := BlocksOf(dip.Size)
 	for bi := 0; bi < nblocks; bi++ {
 		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {
@@ -106,7 +106,7 @@ func (fs *FS) dirAddEntry(p *sim.Proc, dir Ino, name string, ino Ino, ftype uint
 	}
 	// Grow the directory by one chunk.
 	newSize := dip.Size + DirChunk
-	bi := blocksOf(newSize) - 1
+	bi := BlocksOf(newSize) - 1
 	wantNF := lastBlockFrags(newSize)
 	chunkStart := (dip.Size % BlockSize)
 	b, err := fs.growBlock(p, dir, &dip, dib, dioff, bi, wantNF, newSize, true,
@@ -364,7 +364,7 @@ func (fs *FS) Rmdir(p *sim.Proc, dir Ino, name string) error {
 }
 
 func (fs *FS) dirEmpty(p *sim.Proc, ino Ino, ip *Inode, ib *cache.Buf, ioff int) (bool, error) {
-	nblocks := blocksOf(ip.Size)
+	nblocks := BlocksOf(ip.Size)
 	for bi := 0; bi < nblocks; bi++ {
 		b, err := fs.readBlock(p, ino, ip, ib, ioff, bi)
 		if err != nil {
@@ -582,7 +582,7 @@ func (fs *FS) WriteAt(p *sim.Proc, ino Ino, off uint64, data []byte) error {
 		}
 		// Fragments needed by this block after the write.
 		var wantNF int
-		if bi == blocksOf(newSize)-1 {
+		if bi == BlocksOf(newSize)-1 {
 			wantNF = lastBlockFrags(newSize)
 		} else {
 			wantNF = BlockFrags
@@ -665,7 +665,7 @@ func (fs *FS) ReadDir(p *sim.Proc, dir Ino) ([]Dirent, error) {
 		return nil, ErrNotDir
 	}
 	var out []Dirent
-	nblocks := blocksOf(dip.Size)
+	nblocks := BlocksOf(dip.Size)
 	for bi := 0; bi < nblocks; bi++ {
 		b, err := fs.readBlock(p, dir, &dip, dib, dioff, bi)
 		if err != nil {

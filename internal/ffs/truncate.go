@@ -57,19 +57,19 @@ func (fs *FS) Truncate(p *sim.Proc, ino Ino, newSize uint64) error {
 		fs.ord.FreeBlocks(p, rec)
 		return nil
 	}
-	if blocksOf(ip.Size) > NDirect {
+	if BlocksOf(ip.Size) > NDirect {
 		return ErrNoSpace // partial truncation across indirects unsupported
 	}
 
-	oldBlocks := blocksOf(ip.Size)
-	newBlocks := blocksOf(newSize)
+	oldBlocks := BlocksOf(ip.Size)
+	newBlocks := BlocksOf(newSize)
 	var runs []FragRun
 	fs.charge(p, fs.cfg.Costs.InodeOp)
 	fs.cache.PrepareModify(p, ib)
 	// Whole blocks past the new end.
 	for bi := newBlocks; bi < oldBlocks; bi++ {
 		if ip.Direct[bi] != 0 {
-			runs = append(runs, FragRun{Start: ip.Direct[bi], N: blockRunLen(ip.Size, bi)})
+			runs = append(runs, FragRun{Start: ip.Direct[bi], N: BlockRunLen(ip.Size, bi)})
 			ip.Direct[bi] = 0
 		}
 	}

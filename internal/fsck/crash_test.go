@@ -258,6 +258,35 @@ func TestAllocationInitializationSecurity(t *testing.T) {
 	}
 }
 
+// TestContentViolationsIndirect stamps a fragment that a file maps through
+// its single-indirect block with another inode's marker: the content scan
+// must follow the block map past the direct blocks to see the leak.
+func TestContentViolationsIndirect(t *testing.T) {
+	r := buildCrashRig(t, "conventional", true, metadataChurn)
+	r.eng.Run()
+	img := r.dsk.CloneImage()
+	if cv := fsck.ContentViolations(img); len(cv) != 0 {
+		t.Fatalf("clean image has content findings: %v", cv)
+	}
+	sb := superblockOf(t, img)
+	for ino := ffs.Ino(3); uint32(ino) < sb.NInodes; ino++ {
+		frag, off := sb.InodeFrag(ino)
+		ip := ffs.DecodeInode(img[int64(frag)*ffs.FragSize+int64(off):])
+		if ip.Mode != ffs.ModeFile || ip.Indir == 0 || ip.Size <= ffs.NDirect*ffs.BlockSize {
+			continue
+		}
+		data := int64(leUint32(img, int(ip.Indir)*ffs.FragSize)) + 1 // second fragment of block NDirect
+		fsck.StampFragment(img[data*ffs.FragSize:], ino+1)
+		for _, f := range fsck.ContentViolations(img) {
+			if f.Kind == fsck.UninitializedData && f.Ino == ino {
+				return
+			}
+		}
+		t.Fatalf("inode %d: foreign marker in indirect-mapped fragment %d not reported", ino, data)
+	}
+	t.Fatal("workload left no file with indirect blocks")
+}
+
 func TestCorruptionDetection(t *testing.T) {
 	// Build a clean image, then introduce deliberate corruption and check
 	// the right finding appears.

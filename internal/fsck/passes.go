@@ -27,7 +27,6 @@ package fsck
 // and derivable concurrently (see pipeline.go).
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"metaupdate/internal/ffs"
@@ -129,10 +128,10 @@ func (d *deriver) deriveInode(ino ffs.Ino, r *inodeRec) {
 }
 
 // claim appends a claim step for [start, start+n), or a BadPointer finding
-// if the run leaves the data region — mirroring checker.claim except that
-// cross-link detection happens at merge time (it needs global state).
+// if the run leaves the data region. Cross-link detection happens at merge
+// time (it needs global state).
 func (d *deriver) claim(r *inodeRec, start int32, n int) bool {
-	if start < d.sb.DataStart || start+int32(n) > d.sb.TotalFrags {
+	if !inData(d.sb, start, n) {
 		r.addf(BadPointer, "fragment run [%d,%d) outside data region", start, start+int32(n))
 		return false
 	}
@@ -140,80 +139,38 @@ func (d *deriver) claim(r *inodeRec, start int32, n int) bool {
 	return true
 }
 
-// walkFile mirrors checker.claimFile step for step.
+// walkFile scripts the checker's block-map policy: every pointer is
+// claimed, a hole the size implies is a ShortFile finding, a missing
+// single-indirect block ends the walk, and pointer blocks that cannot be
+// claimed are not read. Read pointer blocks are recorded as deps.
 func (d *deriver) walkFile(r *inodeRec) {
-	ip := &r.ip
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	runLen := func(bi int) int {
-		if bi == nblocks-1 {
-			rem := int(ip.Size) % ffs.BlockSize
-			if rem == 0 {
-				return ffs.BlockFrags
-			}
-			return (rem + ffs.FragSize - 1) / ffs.FragSize
-		}
-		return ffs.BlockFrags
-	}
-	bi := 0
-	for ; bi < nblocks && bi < ffs.NDirect; bi++ {
-		if ip.Direct[bi] == 0 {
-			r.addf(ShortFile, "size implies direct block %d but it is unset", bi)
-			continue
-		}
-		d.claim(r, ip.Direct[bi], runLen(bi))
-	}
-	if bi < nblocks && ip.Indir == 0 {
-		r.addf(ShortFile, "size %d implies an indirect block but none is set", ip.Size)
-		return
-	}
-	if ip.Indir != 0 {
-		if d.claim(r, ip.Indir, ffs.BlockFrags) {
-			r.dep(int64(ip.Indir)*ffs.FragSize, ffs.BlockSize)
-			data := d.img.Range(int64(ip.Indir)*ffs.FragSize, ffs.BlockSize)
-			for i := 0; i < ffs.PtrsPerBlock && bi < nblocks; i, bi = i+1, bi+1 {
-				ptr := int32(binary.LittleEndian.Uint32(data[i*4:]))
-				if ptr == 0 {
-					r.addf(ShortFile, "hole at indirect slot %d", i)
-					continue
-				}
-				d.claim(r, ptr, runLen(bi))
-			}
-		} else {
-			bi += ffs.PtrsPerBlock
-		}
-	}
-	if ip.Dindir != 0 {
-		if d.claim(r, ip.Dindir, ffs.BlockFrags) {
-			r.dep(int64(ip.Dindir)*ffs.FragSize, ffs.BlockSize)
-			var l1ptrs [ffs.PtrsPerBlock]int32
-			ddata := d.img.Range(int64(ip.Dindir)*ffs.FragSize, ffs.BlockSize)
-			for l1 := range l1ptrs {
-				l1ptrs[l1] = int32(binary.LittleEndian.Uint32(ddata[l1*4:]))
-			}
-			for l1 := 0; l1 < ffs.PtrsPerBlock && bi < nblocks; l1++ {
-				l1ptr := l1ptrs[l1]
-				if l1ptr == 0 {
-					r.addf(ShortFile, "hole at dindirect slot %d", l1)
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				if !d.claim(r, l1ptr, ffs.BlockFrags) {
-					bi += ffs.PtrsPerBlock
-					continue
-				}
-				r.dep(int64(l1ptr)*ffs.FragSize, ffs.BlockSize)
-				ldata := d.img.Range(int64(l1ptr)*ffs.FragSize, ffs.BlockSize)
-				for l2 := 0; l2 < ffs.PtrsPerBlock && bi < nblocks; l2, bi = l2+1, bi+1 {
-					ptr := int32(binary.LittleEndian.Uint32(ldata[l2*4:]))
-					if ptr == 0 {
-						r.addf(ShortFile, "hole under dindirect")
-						continue
-					}
-					d.claim(r, ptr, runLen(bi))
+	walkMap(d.img, &r.ip, func(p mapPtr) walkStep {
+		if p.ptr == 0 {
+			switch p.level {
+			case directData:
+				r.addf(ShortFile, "size implies direct block %d but it is unset", p.bi)
+			case indirData:
+				r.addf(ShortFile, "hole at indirect slot %d", p.slot)
+			case dindirData:
+				r.addf(ShortFile, "hole under dindirect")
+			case l1Block:
+				r.addf(ShortFile, "hole at dindirect slot %d", p.slot)
+			case indirBlock:
+				if p.inSize {
+					r.addf(ShortFile, "size %d implies an indirect block but none is set", r.ip.Size)
+					return walkStop
 				}
 			}
+			return walkSkip
 		}
-	}
+		if !d.claim(r, p.ptr, p.n) {
+			return walkSkip
+		}
+		if !p.level.data() {
+			r.dep(int64(p.ptr)*ffs.FragSize, ffs.BlockSize)
+		}
+		return walkOn
+	})
 }
 
 // deriveDir parses ino's directory data (per ip) into r, resetting it
@@ -232,66 +189,61 @@ func (d *deriver) deriveDir(ino ffs.Ino, ip *ffs.Inode, r *dirRec) {
 		return
 	}
 	data := d.dirData(ip, r)
-	for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-		off := chunk
-		for off < chunk+ffs.DirChunk {
-			if off+8 > len(data) {
-				break
-			}
-			le := binary.LittleEndian
-			entIno := ffs.Ino(le.Uint32(data[off:]))
-			reclen := int(le.Uint16(data[off+4:]))
-			namelen := int(data[off+6])
-			ftype := data[off+7]
-			if reclen < 8 || off+reclen > chunk+ffs.DirChunk || (entIno != 0 && off+8+namelen > off+reclen) {
-				r.steps = append(r.steps, dstep{bad: true,
-					detail: fmt.Sprintf("bad entry at offset %d (reclen %d)", off, reclen)})
-				break
-			}
-			if entIno != 0 {
-				name := data[off+8 : off+8+namelen]
-				r.steps = append(r.steps, dstep{ino: entIno, ftype: ftype,
-					nameOff: int32(len(r.names)), nameLen: int32(namelen)})
-				r.names = append(r.names, name...)
-				if namelen == 1 && name[0] == '.' {
-					r.sawDot = true
-				} else if namelen == 2 && name[0] == '.' && name[1] == '.' {
-					r.sawDotdot = true
-				}
-			}
-			off += reclen
+	scanDir(data, func(e dirent) bool {
+		if e.bad {
+			r.steps = append(r.steps, dstep{bad: true,
+				detail: fmt.Sprintf("bad entry at offset %d (reclen %d)", e.off, e.reclen)})
+			return true
 		}
-	}
+		if e.ino == 0 {
+			return true
+		}
+		name := e.name(data)
+		r.steps = append(r.steps, dstep{ino: e.ino, ftype: e.ftype,
+			nameOff: int32(len(r.names)), nameLen: int32(len(name))})
+		r.names = append(r.names, name...)
+		if len(name) == 1 && name[0] == '.' {
+			r.sawDot = true
+		} else if len(name) == 2 && name[0] == '.' && name[1] == '.' {
+			r.sawDotdot = true
+		}
+		return true
+	})
 }
 
-// dirData materializes directory contents into the deriver's reused
-// scratch, recording the sectors read. Mirrors checker.dirData.
+// dirData reads a directory's contents into the deriver's reused scratch:
+// its direct blocks up to the first one outside the data region, cut to
+// the inode's size. A non-nil r records the sectors read.
 func (d *deriver) dirData(ip *ffs.Inode, r *dirRec) []byte {
 	out := d.dirBuf[:0]
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		ptr := ip.Direct[bi]
-		if ptr == 0 || ptr < d.sb.DataStart || ptr >= d.sb.TotalFrags {
-			break // already reported by the inode walk
+	walkMap(d.img, ip, func(p mapPtr) walkStep {
+		if p.level != directData || !inData(d.sb, p.ptr, p.n) {
+			return walkStop // already reported by the inode walk
 		}
-		n := ffs.BlockSize
-		if rem := int(ip.Size) - bi*ffs.BlockSize; rem < n {
-			n = (rem + ffs.FragSize - 1) / ffs.FragSize * ffs.FragSize
+		off, n := int64(p.ptr)*ffs.FragSize, int64(p.n)*ffs.FragSize
+		if r != nil {
+			r.dep(off, n)
 		}
-		r.dep(int64(ptr)*ffs.FragSize, int64(n))
 		// Sector-at-a-time: against a delta image, whole-block Range
 		// assembles dirty blocks in scratch before append copies them
 		// again, while per-sector reads alias either the base or the
 		// writer's view and copy once.
-		for boff := int64(0); boff < int64(n); boff += sectorSize {
-			out = append(out, d.img.Range(int64(ptr)*ffs.FragSize+boff, sectorSize)...)
+		for boff := int64(0); boff < n; boff += sectorSize {
+			out = append(out, d.img.Range(off+boff, sectorSize)...)
 		}
-	}
+		return walkOn
+	})
 	if int(ip.Size) < len(out) {
 		out = out[:ip.Size]
 	}
 	d.dirBuf = out
 	return out
+}
+
+// readInode decodes ino's inode.
+func (d *deriver) readInode(ino ffs.Ino) ffs.Inode {
+	frag, off := d.sb.InodeFrag(ino)
+	return ffs.DecodeInode(d.img.Range(int64(frag)*ffs.FragSize+int64(off), ffs.InodeSize))
 }
 
 // recProvider supplies the records the merge replays. The full checker

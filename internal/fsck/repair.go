@@ -20,7 +20,8 @@ import (
 //   - allocated inodes with no remaining references are freed (a real
 //     fsck moves them to lost+found; this substrate has none).
 //
-// It returns the actions taken. After Repair, Check reports no findings
+// It returns the actions taken, in a deterministic order: every pass visits
+// inodes in ascending order. After Repair, Check reports no findings
 // unless the damage was beyond this repertoire (cross-linked blocks are
 // resolved by truncating the later claimant).
 func Repair(img []byte) []string {
@@ -29,98 +30,105 @@ func Repair(img []byte) []string {
 	if err := decodeSB(Bytes(img), &sb); err != nil {
 		return []string{"unrepairable: " + err.Error()}
 	}
-	c := &checker{img: Bytes(img), raw: img, sb: sb, rep: &Report{Refs: make(map[ffs.Ino]int)}}
-	c.fragOwner = make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
-
+	r := &repairer{deriver: deriver{img: Bytes(img), sb: &sb}, raw: img}
 	log := func(format string, args ...interface{}) {
 		actions = append(actions, fmt.Sprintf(format, args...))
 	}
 
 	// Pass 1: validate block maps, truncating inodes whose maps do not
 	// verify (bad range, holes, cross-links — first claimant wins).
-	inodes := make(map[ffs.Ino]ffs.Inode)
+	// inodes[ino] holds every surviving inode; a free slot is unallocated.
+	inodes := make([]ffs.Inode, sb.NInodes)
+	owner := make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
 	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
-		ip := c.readInode(ino)
+		ip := r.readInode(ino)
 		if !ip.Allocated() {
 			continue
 		}
 		if ip.Mode != ffs.ModeFile && ip.Mode != ffs.ModeDir {
-			c.clearInode(ino)
+			r.clearInode(ino)
 			log("cleared inode %d with bad mode %#x", ino, ip.Mode)
 			continue
 		}
-		if truncAt, bad := c.verifyMap(ino, &ip); bad {
-			c.truncateInode(ino, &ip, truncAt)
+		if r.claimPrefix(ino, &ip, owner) {
+			r.putInode(ino, &ip)
 			log("truncated inode %d to %d bytes (unverifiable block map)", ino, ip.Size)
 		}
 		inodes[ino] = ip
 	}
+	live := func(ino ffs.Ino) bool { return uint32(ino) < sb.NInodes && inodes[ino].Allocated() }
 
 	// Pass 2: directory structure — reformat garbage chunks, reseed missing
 	// "."/".." — then count references and clear dangling entries.
-	for ino, ip := range inodes {
-		if !ip.IsDir() {
-			continue
-		}
-		c.repairDirStructure(ino, ip, log)
-		if ip.Size > 0 && !c.dirHasDots(ip) {
-			ptr := ip.Direct[0]
-			if ptr >= sb.DataStart && ptr < sb.TotalFrags {
-				head := img[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+ffs.DirChunk]
-				reformatChunk(head, ino, true)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		if ip := &inodes[ino]; ip.IsDir() {
+			r.repairDirStructure(ino, ip, log)
+			if ip.Size > 0 && !r.dirHasDots(ip) {
+				reformatChunk(r.dirChunk(ip, 0), ino, true)
 				log("reseeded '.' and '..' in directory %d", ino)
 			}
 		}
 	}
-	refs := make(map[ffs.Ino]int)
-	for ino, ip := range inodes {
-		if ip.IsDir() {
-			c.countDirRefs(ino, ip, inodes, refs, log)
+	refs := make([]int, sb.NInodes)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		if ip := &inodes[ino]; ip.IsDir() {
+			data := r.dirData(ip, nil)
+			scanDir(data, func(e dirent) bool {
+				switch {
+				case e.bad || e.ino == 0:
+				case !live(e.ino):
+					binary.LittleEndian.PutUint32(r.raw[r.dirOff(ip, e.off):], 0)
+					log("cleared dangling entry in inode %d (named %d)", ino, e.ino)
+				default:
+					refs[e.ino]++
+				}
+				return true
+			})
 		}
 	}
 
 	// Pass 3: link counts and orphan inodes.
-	for ino, ip := range inodes {
-		r := refs[ino]
-		if r == 0 && ino != ffs.RootIno {
-			c.clearInode(ino)
-			delete(inodes, ino)
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		ip := &inodes[ino]
+		if !ip.Allocated() {
+			continue
+		}
+		if refs[ino] == 0 && ino != ffs.RootIno {
+			r.clearInode(ino)
+			*ip = ffs.Inode{}
 			log("freed orphan inode %d (no references)", ino)
 			continue
 		}
-		if int(ip.Nlink) != r {
-			frag, off := sb.InodeFrag(ino)
-			raw := img[int64(frag)*ffs.FragSize+int64(off):]
-			ip.Nlink = uint16(r)
-			ffs.EncodeInode(&ip, raw)
-			inodes[ino] = ip
-			log("set inode %d link count to %d", ino, r)
+		if int(ip.Nlink) != refs[ino] {
+			ip.Nlink = uint16(refs[ino])
+			r.putInode(ino, ip)
+			log("set inode %d link count to %d", ino, refs[ino])
 		}
 	}
 
-	// Pass 4: rebuild both bitmaps from scratch. Re-walk the maps of the
-	// surviving inodes to get ownership (pass 1 state may be stale after
-	// pass 3 cleared orphans).
-	c.fragOwner = make([]ffs.Ino, sb.TotalFrags-sb.DataStart)
-	c.rep = &Report{Refs: make(map[ffs.Ino]int)}
-	for ino := range inodes {
-		ip := c.readInode(ino)
-		c.claimFile(ino, &ip)
+	// Pass 4: rebuild both bitmaps from scratch. Ownership comes from the
+	// checker's own walk of the surviving inodes (pass 1 state may be
+	// stale after pass 3 cleared orphans).
+	owned := make([]bool, sb.TotalFrags-sb.DataStart)
+	var rec inodeRec
+	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
+		if !live(ino) {
+			continue
+		}
+		r.deriveInode(ino, &rec)
+		for _, st := range rec.steps {
+			if st.kind != claimStepKind {
+				continue
+			}
+			for f := st.start; f < st.start+st.n; f++ {
+				owned[f-sb.DataStart] = true
+			}
+		}
 	}
 	fbm := img[int64(sb.FBmapStart)*ffs.FragSize:]
 	changedF := 0
 	for f := int32(0); f < sb.TotalFrags; f++ {
-		want := true
-		if f >= sb.DataStart {
-			want = c.fragOwner[f-sb.DataStart] != 0
-		}
-		have := fbm[f/8]&(1<<(uint(f)%8)) != 0
-		if want != have {
-			if want {
-				fbm[f/8] |= 1 << (uint(f) % 8)
-			} else {
-				fbm[f/8] &^= 1 << (uint(f) % 8)
-			}
+		if setBit(fbm, int64(f), f < sb.DataStart || owned[f-sb.DataStart]) {
 			changedF++
 		}
 	}
@@ -130,15 +138,7 @@ func Repair(img []byte) []string {
 	ibm := img[int64(sb.IBmapStart)*ffs.FragSize:]
 	changedI := 0
 	for ino := ffs.Ino(0); uint32(ino) < sb.NInodes; ino++ {
-		_, used := inodes[ino]
-		want := used || ino <= ffs.RootIno
-		have := ibm[ino/8]&(1<<(uint(ino)%8)) != 0
-		if want != have {
-			if want {
-				ibm[ino/8] |= 1 << (uint(ino) % 8)
-			} else {
-				ibm[ino/8] &^= 1 << (uint(ino) % 8)
-			}
+		if setBit(ibm, int64(ino), live(ino) || ino <= ffs.RootIno) {
 			changedI++
 		}
 	}
@@ -148,154 +148,116 @@ func Repair(img []byte) []string {
 	return actions
 }
 
-// verifyMap walks ip's block map, claiming fragments; it returns the first
-// file block index at which verification failed (for truncation) and
-// whether anything was bad.
-func (c *checker) verifyMap(ino ffs.Ino, ip *ffs.Inode) (truncAtBlock int, bad bool) {
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	runLen := func(bi int) int {
-		if bi == nblocks-1 {
-			rem := int(ip.Size) % ffs.BlockSize
-			if rem == 0 {
-				return ffs.BlockFrags
-			}
-			return (rem + ffs.FragSize - 1) / ffs.FragSize
-		}
-		return ffs.BlockFrags
+// setBit sets bit i of bm to want and reports whether that changed it.
+func setBit(bm []byte, i int64, want bool) bool {
+	mask := byte(1) << (i % 8)
+	if (bm[i/8]&mask != 0) == want {
+		return false
 	}
-	claimOK := func(start int32, n int) bool {
-		if start < c.sb.DataStart || start+int32(n) > c.sb.TotalFrags {
+	bm[i/8] ^= mask
+	return true
+}
+
+// repairer reads the image through a deriver and writes fixes to raw, the
+// same bytes.
+type repairer struct {
+	deriver
+	raw []byte
+}
+
+// claimPrefix claims ip's block map in file order up to the first pointer
+// the size implies that is a hole, leaves the data region, or touches a
+// fragment owner already holds for another inode; claims are
+// all-or-nothing per run. If there is such a pointer it truncates ip to
+// end before the block that pointer maps, dropping every pointer that maps
+// only blocks from there on, and reports true.
+func (r *repairer) claimPrefix(ino ffs.Ino, ip *ffs.Inode, owner []ffs.Ino) bool {
+	claim := func(start int32, n int) bool {
+		if !inData(r.sb, start, n) {
 			return false
 		}
-		for i := int32(0); i < int32(n); i++ {
-			idx := start + i - c.sb.DataStart
-			if owner := c.fragOwner[idx]; owner != 0 && owner != ino {
+		run := owner[start-r.sb.DataStart:][:n]
+		for _, o := range run {
+			if o != 0 && o != ino {
 				return false
 			}
 		}
-		for i := int32(0); i < int32(n); i++ {
-			c.fragOwner[start+i-c.sb.DataStart] = ino
+		for i := range run {
+			run[i] = ino
 		}
 		return true
 	}
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		if ip.Direct[bi] == 0 || !claimOK(ip.Direct[bi], runLen(bi)) {
-			return bi, true
+	cut, indirAt, dindirAt := -1, 0, 0
+	walkMap(r.img, ip, func(p mapPtr) walkStep {
+		switch p.level {
+		case indirBlock:
+			indirAt = p.bi
+		case dindirBlock:
+			dindirAt = p.bi
 		}
-	}
-	if nblocks <= ffs.NDirect {
-		return 0, false
-	}
-	if ip.Indir == 0 || !claimOK(ip.Indir, ffs.BlockFrags) {
-		return ffs.NDirect, true
-	}
-	data := c.raw[int64(ip.Indir)*ffs.FragSize : int64(ip.Indir+ffs.BlockFrags)*ffs.FragSize]
-	for i := 0; i < ffs.PtrsPerBlock; i++ {
-		bi := ffs.NDirect + i
-		if bi >= nblocks {
-			break
+		if cut >= 0 || !p.inSize {
+			return walkSkip
 		}
-		ptr := int32(binary.LittleEndian.Uint32(data[i*4:]))
-		if ptr == 0 || !claimOK(ptr, runLen(bi)) {
-			return bi, true
+		if p.ptr == 0 || !claim(p.ptr, p.n) {
+			cut = p.bi
+			return walkSkip
 		}
-	}
-	if nblocks <= ffs.NDirect+ffs.PtrsPerBlock {
-		return 0, false
-	}
-	if ip.Dindir == 0 || !claimOK(ip.Dindir, ffs.BlockFrags) {
-		return ffs.NDirect + ffs.PtrsPerBlock, true
-	}
-	ddata := c.raw[int64(ip.Dindir)*ffs.FragSize : int64(ip.Dindir+ffs.BlockFrags)*ffs.FragSize]
-	for l1 := 0; l1 < ffs.PtrsPerBlock; l1++ {
-		base := ffs.NDirect + ffs.PtrsPerBlock + l1*ffs.PtrsPerBlock
-		if base >= nblocks {
-			break
-		}
-		l1ptr := int32(binary.LittleEndian.Uint32(ddata[l1*4:]))
-		if l1ptr == 0 || !claimOK(l1ptr, ffs.BlockFrags) {
-			return base, true
-		}
-		ldata := c.raw[int64(l1ptr)*ffs.FragSize : int64(l1ptr+ffs.BlockFrags)*ffs.FragSize]
-		for l2 := 0; l2 < ffs.PtrsPerBlock; l2++ {
-			bi := base + l2
-			if bi >= nblocks {
-				break
-			}
-			ptr := int32(binary.LittleEndian.Uint32(ldata[l2*4:]))
-			if ptr == 0 || !claimOK(ptr, runLen(bi)) {
-				return bi, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// truncateInode shrinks ino to end before file block truncAt and rewrites
-// it on the image.
-func (c *checker) truncateInode(ino ffs.Ino, ip *ffs.Inode, truncAtBlock int) {
-	newSize := uint64(truncAtBlock) * ffs.BlockSize
-	if newSize > ip.Size {
-		newSize = ip.Size
-	}
-	ip.Size = newSize
-	for bi := truncAtBlock; bi < ffs.NDirect; bi++ {
-		ip.Direct[bi] = 0
-	}
-	if truncAtBlock <= ffs.NDirect {
-		ip.Indir = 0
-		ip.Dindir = 0
-	} else if truncAtBlock <= ffs.NDirect+ffs.PtrsPerBlock {
-		ip.Dindir = 0
-	}
-	frag, off := c.sb.InodeFrag(ino)
-	ffs.EncodeInode(ip, c.raw[int64(frag)*ffs.FragSize+int64(off):])
-}
-
-// dirHasDots reports whether the directory's data contains both "." and
-// "..".
-func (c *checker) dirHasDots(ip ffs.Inode) bool {
-	ptr := ip.Direct[0]
-	if ptr < c.sb.DataStart || ptr >= c.sb.TotalFrags {
+		return walkOn
+	})
+	if cut < 0 {
 		return false
 	}
-	head := c.raw[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+ffs.DirChunk]
+	ip.Size = min(ip.Size, uint64(cut)*ffs.BlockSize)
+	for bi := cut; bi < ffs.NDirect; bi++ {
+		ip.Direct[bi] = 0
+	}
+	if cut <= indirAt {
+		ip.Indir = 0
+	}
+	if cut <= dindirAt {
+		ip.Dindir = 0
+	}
+	return true
+}
+
+func (r *repairer) putInode(ino ffs.Ino, ip *ffs.Inode) {
+	frag, off := r.sb.InodeFrag(ino)
+	ffs.EncodeInode(ip, r.raw[int64(frag)*ffs.FragSize+int64(off):])
+}
+
+func (r *repairer) clearInode(ino ffs.Ino) {
+	r.putInode(ino, &ffs.Inode{})
+}
+
+// dirOff returns the image offset of byte off of a directory's data. The
+// directory's direct blocks up to off must be in the data region, which
+// pass 1 guarantees for every surviving inode.
+func (r *repairer) dirOff(ip *ffs.Inode, off int) int64 {
+	return int64(ip.Direct[off/ffs.BlockSize])*ffs.FragSize + int64(off%ffs.BlockSize)
+}
+
+// dirChunk returns the writable chunk at byte off of a directory's data.
+func (r *repairer) dirChunk(ip *ffs.Inode, off int) []byte {
+	return r.raw[r.dirOff(ip, off):][:ffs.DirChunk]
+}
+
+// dirHasDots reports whether the directory's first chunk holds both "."
+// and "..".
+func (r *repairer) dirHasDots(ip *ffs.Inode) bool {
+	head := r.dirChunk(ip, 0)
 	sawDot, sawDotdot := false, false
-	for off := 0; off < ffs.DirChunk; {
-		le := binary.LittleEndian
-		entIno := ffs.Ino(le.Uint32(head[off:]))
-		reclen := int(le.Uint16(head[off+4:]))
-		namelen := int(head[off+6])
-		if reclen < 8 || off+reclen > ffs.DirChunk {
-			break
-		}
-		if entIno != 0 && off+8+namelen <= ffs.DirChunk {
-			switch string(head[off+8 : off+8+namelen]) {
+	scanDir(head, func(e dirent) bool {
+		if !e.bad && e.ino != 0 {
+			switch string(e.name(head)) {
 			case ".":
 				sawDot = true
 			case "..":
 				sawDotdot = true
 			}
 		}
-		off += reclen
-	}
+		return true
+	})
 	return sawDot && sawDotdot
-}
-
-func (c *checker) clearInode(ino ffs.Ino) {
-	frag, off := c.sb.InodeFrag(ino)
-	cleared := ffs.Inode{}
-	ffs.EncodeInode(&cleared, c.raw[int64(frag)*ffs.FragSize+int64(off):])
-}
-
-// putRawDirent writes a minimal directory entry header + name.
-func putRawDirent(b []byte, ino ffs.Ino, reclen int, name string, ftype uint8) {
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], uint32(ino))
-	le.PutUint16(b[4:], uint16(reclen))
-	b[6] = uint8(len(name))
-	b[7] = ftype
-	copy(b[8:], name)
 }
 
 // reformatChunk turns a structurally invalid 512-byte directory chunk into
@@ -307,81 +269,25 @@ func reformatChunk(chunk []byte, self ffs.Ino, first bool) {
 		chunk[i] = 0
 	}
 	if !first {
-		putRawDirent(chunk, 0, len(chunk), "", 0)
+		ffs.PutDirent(chunk, 0, len(chunk), "", 0)
 		return
 	}
-	putRawDirent(chunk[0:], self, 12, ".", ffs.FtypeDir)
-	putRawDirent(chunk[12:], ffs.RootIno, len(chunk)-12, "..", ffs.FtypeDir)
+	ffs.PutDirent(chunk[0:], self, 12, ".", ffs.FtypeDir)
+	ffs.PutDirent(chunk[12:], ffs.RootIno, len(chunk)-12, "..", ffs.FtypeDir)
 }
 
-// dirBlocks iterates the direct blocks of a directory, yielding the data
-// slice and the size limit for each.
-func (c *checker) dirBlocks(ip ffs.Inode, f func(bi int, data []byte, limit int)) {
-	nblocks := (int(ip.Size) + ffs.BlockSize - 1) / ffs.BlockSize
-	for bi := 0; bi < nblocks && bi < ffs.NDirect; bi++ {
-		ptr := ip.Direct[bi]
-		if ptr < c.sb.DataStart || ptr >= c.sb.TotalFrags {
-			continue
+// repairDirStructure reformats the chunks of one directory that hold a
+// malformed entry or, beyond the checker's rule, an entry whose reclen is
+// not a multiple of 4.
+func (r *repairer) repairDirStructure(ino ffs.Ino, ip *ffs.Inode, log func(string, ...interface{})) {
+	bad := -1
+	scanDir(r.dirData(ip, nil), func(e dirent) bool {
+		chunk := e.off - e.off%ffs.DirChunk
+		if chunk != bad && (e.bad || e.reclen%4 != 0) {
+			bad = chunk
+			reformatChunk(r.dirChunk(ip, chunk), ino, chunk == 0)
+			log("reformatted garbage chunk %d of directory %d", chunk%ffs.BlockSize, ino)
 		}
-		nf := ffs.BlockFrags
-		if bi == nblocks-1 {
-			if rem := int(ip.Size) % ffs.BlockSize; rem != 0 {
-				nf = (rem + ffs.FragSize - 1) / ffs.FragSize
-			}
-		}
-		data := c.raw[int64(ptr)*ffs.FragSize : int64(ptr)*ffs.FragSize+int64(nf*ffs.FragSize)]
-		limit := int(ip.Size) - bi*ffs.BlockSize
-		if limit > len(data) {
-			limit = len(data)
-		}
-		f(bi, data, limit)
-	}
-}
-
-// repairDirStructure reformats structurally invalid chunks of one
-// directory.
-func (c *checker) repairDirStructure(ino ffs.Ino, ip ffs.Inode, log func(string, ...interface{})) {
-	c.dirBlocks(ip, func(bi int, data []byte, limit int) {
-		for chunk := 0; chunk+ffs.DirChunk <= limit; chunk += ffs.DirChunk {
-			valid := true
-			for off := chunk; off < chunk+ffs.DirChunk; {
-				reclen := int(binary.LittleEndian.Uint16(data[off+4:]))
-				if reclen < 8 || reclen%4 != 0 || off+reclen > chunk+ffs.DirChunk {
-					valid = false
-					break
-				}
-				off += reclen
-			}
-			if !valid {
-				reformatChunk(data[chunk:chunk+ffs.DirChunk], ino, bi == 0 && chunk == 0)
-				log("reformatted garbage chunk %d of directory %d", chunk, ino)
-			}
-		}
-	})
-}
-
-// countDirRefs clears dangling entries and counts directory references.
-func (c *checker) countDirRefs(ino ffs.Ino, ip ffs.Inode, inodes map[ffs.Ino]ffs.Inode,
-	refs map[ffs.Ino]int, log func(string, ...interface{})) {
-	c.dirBlocks(ip, func(bi int, data []byte, limit int) {
-		for chunk := 0; chunk+ffs.DirChunk <= limit; chunk += ffs.DirChunk {
-			for off := chunk; off < chunk+ffs.DirChunk; {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk {
-					break
-				}
-				if entIno != 0 {
-					if _, ok := inodes[entIno]; !ok {
-						le.PutUint32(data[off:], 0) // clear dangling entry
-						log("cleared dangling entry in inode %d (named %d)", ino, entIno)
-					} else {
-						refs[entIno]++
-					}
-				}
-				off += reclen
-			}
-		}
+		return true
 	})
 }

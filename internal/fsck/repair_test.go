@@ -1,7 +1,9 @@
 package fsck_test
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,6 +227,34 @@ func TestRepairIdempotent(t *testing.T) {
 	}
 	if rep := fsck.Check(img); len(rep.Findings) != 0 {
 		t.Fatalf("image not clean after repair: %v", rep.Findings[0])
+	}
+}
+
+// TestRepairDeterministic repairs copies of one crashed image and wants
+// the same action log, in the same order, and the same bytes every time:
+// the log is what mdsim -faults prints, so it must not follow map order.
+func TestRepairDeterministic(t *testing.T) {
+	total := totalRuntime(t, "noorder", false)
+	img := crashAt(t, "noorder", false, total/2)
+	got := make([]byte, len(img))
+	var want [sha256.Size]byte
+	var wantActions []string
+	for i := 0; i < 30; i++ {
+		copy(got, img)
+		actions := fsck.Repair(got)
+		if i == 0 {
+			want, wantActions = sha256.Sum256(got), actions
+			if len(actions) < 2 {
+				t.Fatalf("crashed image needs %d repair actions; the test needs several to order", len(actions))
+			}
+			continue
+		}
+		if !slices.Equal(actions, wantActions) {
+			t.Fatalf("repair %d logged\n%s\nwant\n%s", i, strings.Join(actions, "\n"), strings.Join(wantActions, "\n"))
+		}
+		if sha256.Sum256(got) != want {
+			t.Fatalf("repair %d wrote different bytes", i)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fsck
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -18,8 +17,10 @@ type TreeEntry struct {
 
 // Tree walks the directory namespace of img from the root and returns the
 // reachable entries keyed by slash-separated path; the root itself is "/".
-// "." and ".." entries are skipped, and a directory is descended into at
-// most once (cycles in a corrupted image terminate instead of looping).
+// It is a view over WalkTree: "." and ".." entries are skipped, a
+// directory is descended into at most once (under the path it was first
+// reached by), and an entry naming an out-of-range inode maps to a zero
+// TreeEntry apart from its Ino.
 //
 // The walk is the logical-state oracle behind the differential tests: two
 // images are "logically equal" iff their Trees are equal, and a recovered
@@ -28,7 +29,7 @@ type TreeEntry struct {
 // only the namespace — allocation bitmaps, free counts, and physical
 // placement are fsck's department, not the application's.
 //
-// A structurally broken image (bad superblock, pointers off the media)
+// A structurally broken image (bad superblock, geometry off the media)
 // returns an error rather than panicking.
 func Tree(img Image) (tree map[string]TreeEntry, err error) {
 	defer func() {
@@ -36,59 +37,24 @@ func Tree(img Image) (tree map[string]TreeEntry, err error) {
 			err = fmt.Errorf("tree walk failed: %v", p)
 		}
 	}()
-	c := &checker{img: img, rep: &Report{Refs: make(map[ffs.Ino]int)}}
-	if derr := decodeSB(img, &c.sb); derr != nil {
+	var sb ffs.Superblock
+	if derr := decodeSB(img, &sb); derr != nil {
 		return nil, derr
 	}
-	root := c.readInode(ffs.RootIno)
+	root := (&deriver{img: img, sb: &sb}).readInode(ffs.RootIno)
 	if !root.IsDir() {
 		return nil, fmt.Errorf("root inode is not a directory")
 	}
-	tree = make(map[string]TreeEntry)
-	tree["/"] = TreeEntry{Ino: ffs.RootIno, Dir: true, Size: root.Size, Nlink: int(root.Nlink)}
-	visited := map[ffs.Ino]bool{ffs.RootIno: true}
-
-	type frame struct {
-		ino  ffs.Ino
-		ip   ffs.Inode
-		path string
-	}
-	queue := []frame{{ino: ffs.RootIno, ip: root, path: ""}}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		data := c.dirData(f.ino, f.ip)
-		for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-			off := chunk
-			for off < chunk+ffs.DirChunk {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				namelen := int(data[off+6])
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk || off+8+namelen > chunk+ffs.DirChunk {
-					break // malformed chunk; the fsck oracle reports it
-				}
-				if entIno != 0 {
-					name := string(data[off+8 : off+8+namelen])
-					if name != "." && name != ".." {
-						ip := c.readInode(entIno)
-						path := f.path + "/" + name
-						tree[path] = TreeEntry{
-							Ino:   entIno,
-							Dir:   ip.IsDir(),
-							Size:  ip.Size,
-							Nlink: int(ip.Nlink),
-						}
-						if ip.IsDir() && !visited[entIno] {
-							visited[entIno] = true
-							queue = append(queue, frame{ino: entIno, ip: ip, path: path})
-						}
-					}
-				}
-				off += reclen
-			}
+	tree = map[string]TreeEntry{"/": {Ino: ffs.RootIno, Dir: true, Size: root.Size, Nlink: int(root.Nlink)}}
+	dirPath := map[ffs.Ino]string{ffs.RootIno: ""}
+	WalkTree(img, func(e WalkEntry) bool {
+		path := dirPath[e.Parent] + "/" + e.Name
+		tree[path] = TreeEntry{Ino: e.Ino, Dir: e.Inode.IsDir(), Size: e.Inode.Size, Nlink: int(e.Inode.Nlink)}
+		if _, seen := dirPath[e.Ino]; e.Inode.IsDir() && !seen {
+			dirPath[e.Ino] = path
 		}
-	}
+		return true
+	})
 	return tree, nil
 }
 

@@ -1,10 +1,6 @@
 package fsck
 
-import (
-	"encoding/binary"
-
-	"metaupdate/internal/ffs"
-)
+import "metaupdate/internal/ffs"
 
 // WalkEntry is one live directory entry visited by WalkTree ("." and ".."
 // are skipped).
@@ -25,16 +21,17 @@ type WalkEntry struct {
 //
 // The walk is corruption-tolerant — it is meant for oracles over crash
 // images, where structural damage is fsck's business, not the walker's: a
-// bad superblock walks nothing, out-of-range pointers and malformed entry
-// chains end the affected directory, revisited directories (cycles,
-// cross-linked entries) are skipped, and entries naming out-of-range
-// inodes are reported with a zero Inode and never descended into.
+// bad superblock walks nothing, a directory's data ends at its first
+// pointer outside the data region, a malformed entry ends its chunk (the
+// checker's rule, scanDir), revisited directories (cycles, cross-linked
+// entries) are skipped, and entries naming out-of-range inodes are
+// reported with a zero Inode and never descended into.
 func WalkTree(img Image, fn func(e WalkEntry) bool) {
 	var sb ffs.Superblock
 	if err := decodeSB(img, &sb); err != nil {
 		return
 	}
-	c := &checker{img: img, sb: sb}
+	d := &deriver{img: img, sb: &sb}
 	type dirAt struct {
 		ino   ffs.Ino
 		depth int
@@ -46,43 +43,40 @@ func WalkTree(img Image, fn func(e WalkEntry) bool) {
 	visited[ffs.RootIno] = true
 	queue := []dirAt{{ffs.RootIno, 0}}
 	for len(queue) > 0 {
-		d := queue[0]
+		dir := queue[0]
 		queue = queue[1:]
-		ip := c.readInode(d.ino)
+		ip := d.readInode(dir.ino)
 		if !ip.IsDir() {
 			continue
 		}
-		data := c.dirData(d.ino, ip)
-		for chunk := 0; chunk+ffs.DirChunk <= len(data); chunk += ffs.DirChunk {
-			off := chunk
-			for off+8 <= chunk+ffs.DirChunk {
-				le := binary.LittleEndian
-				entIno := ffs.Ino(le.Uint32(data[off:]))
-				reclen := int(le.Uint16(data[off+4:]))
-				namelen := int(data[off+6])
-				if reclen < 8 || off+reclen > chunk+ffs.DirChunk || off+8+namelen > off+reclen {
-					break // malformed chain; fsck reports it
-				}
-				if entIno != 0 {
-					name := string(data[off+8 : off+8+namelen])
-					if name != "." && name != ".." {
-						e := WalkEntry{Parent: d.ino, Depth: d.depth,
-							Name: name, Ftype: data[off+7], Ino: entIno}
-						inRange := entIno >= 2 && uint32(entIno) < sb.NInodes
-						if inRange {
-							e.Inode = c.readInode(entIno)
-						}
-						if !fn(e) {
-							return
-						}
-						if inRange && e.Inode.IsDir() && !visited[entIno] {
-							visited[entIno] = true
-							queue = append(queue, dirAt{entIno, d.depth + 1})
-						}
-					}
-				}
-				off += reclen
+		data := d.dirData(&ip, nil)
+		stopped := false
+		scanDir(data, func(de dirent) bool {
+			if de.bad || de.ino == 0 {
+				return true
 			}
+			name := de.name(data)
+			if string(name) == "." || string(name) == ".." {
+				return true
+			}
+			e := WalkEntry{Parent: dir.ino, Depth: dir.depth,
+				Name: string(name), Ftype: de.ftype, Ino: de.ino}
+			inRange := e.Ino >= 2 && uint32(e.Ino) < sb.NInodes
+			if inRange {
+				e.Inode = d.readInode(e.Ino)
+			}
+			if !fn(e) {
+				stopped = true
+				return false
+			}
+			if inRange && e.Inode.IsDir() && !visited[e.Ino] {
+				visited[e.Ino] = true
+				queue = append(queue, dirAt{e.Ino, dir.depth + 1})
+			}
+			return true
+		})
+		if stopped {
+			return
 		}
 	}
 }

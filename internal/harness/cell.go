@@ -100,15 +100,18 @@ type CellResult struct {
 // fingerprints run byte-identical simulations. Every Options field
 // participates, so distinct configurations can never collide; the
 // DiskParams pointer is dereferenced so equal parameter sets compare equal
-// regardless of pointer identity.
+// regardless of pointer identity. Costs and DiskParams render with %#v so
+// their durations print in whole nanoseconds: sim.Time's String rounds to
+// microseconds, which would let nanosecond-scale values such as
+// BusPerByte (100 ns at the default) collide.
 func (c Cell) Fingerprint() string {
 	o := c.Opt
 	dp := "default"
 	if o.DiskParams != nil {
-		dp = fmt.Sprintf("%+v", *o.DiskParams)
+		dp = fmt.Sprintf("%#v", *o.DiskParams)
 	}
 	return fmt.Sprintf(
-		"k%d|sch%d|sem%d|nr%t|cb%t|exp%t|ai%t|bf%t|ign%t|db%d|fsb%d|ni%d|cby%d|nv%d|jf%d|aw%d|ag%d|sf%d|costs%+v|dp{%s}|flt{%s}|mr%d|rb%d|sp%d|ob%t|u%d|sc%g|rm%t|f5%d|tf%d|cmd%d|ca%d",
+		"k%d|sch%d|sem%d|nr%t|cb%t|exp%t|ai%t|bf%t|ign%t|db%d|fsb%d|ni%d|cby%d|nv%d|jf%d|aw%d|ag%d|sf%d|costs%#v|dp{%s}|flt{%s}|mr%d|rb%d|sp%d|ob%t|u%d|sc%g|rm%t|f5%d|tf%d|cmd%d|ca%d",
 		c.Kind, o.Scheme, o.Sem, o.NR, o.CB, o.Explicit, o.AllocInit,
 		o.BarrierFrees, o.IgnoreOrdering, o.DiskBytes, o.FSBytes, o.NInodes,
 		o.CacheBytes, o.NVRAMBytes, o.JournalFrags, o.AsyncWindow, o.AsyncInterval,

@@ -1,8 +1,14 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
+	"metaupdate/fsim"
+	"metaupdate/internal/arrival"
+	"metaupdate/internal/disk"
+	"metaupdate/internal/fault"
+	"metaupdate/internal/ffs"
 	"metaupdate/internal/sim"
 )
 
@@ -47,4 +53,72 @@ func TestFingerprintsDistinct(t *testing.T) {
 	if a.Fingerprint() != (Cell{Kind: CellCopy, Users: 4, Scale: 0.1}).Fingerprint() {
 		t.Fatal("equal cells produced different fingerprints")
 	}
+}
+
+// TestFingerprintCoversEveryField walks every leaf field of Cell — the
+// fsim.Options inside it, down through pointers and nested specs, and the
+// DistSpec — changes each one in turn and requires the fingerprint to
+// change with it. The walk is by reflection, so a field added later and
+// left out of Fingerprint fails here. Faults and OpenLoop start enabled,
+// with every defaulted parameter set, because their disabled forms
+// rightly ignore their parameters.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	dp := disk.HPC2447()
+	c := Cell{
+		Kind: CellCopy,
+		Opt: fsim.Options{
+			Scheme:     fsim.SchedulerFlag,
+			DiskParams: &dp,
+			Costs:      ffs.DefaultCosts(),
+			Faults: fault.Spec{Seed: 1, TransientPer10k: 10, TornPer10k: 10,
+				LatencyPer10k: 10, LatencySpikeMS: 20, BadSectors: 2},
+			OpenLoop: fsim.OpenLoopSpec{Scenario: "mail", Ops: 100, Warmup: 10, MaxInFlight: 8,
+				Arrival: fsim.ArrivalSpec{Kind: arrival.Bursty, Seed: 1, PerSec: 100, BPer1000: 600, Levels: 4}},
+		},
+		Users: 2, Scale: 0.5, Fig5: Fig5Creates, TotalFiles: 100, Commands: 10, CrashAt: sim.Second,
+		Dist: DistSpec{Nodes: 2, Clients: 4, Ops: 50, SplitEntries: 64, SplitQueue: 8, Seed: 1, EngineWorkers: 2},
+	}
+	base := c.Fingerprint()
+	fields := 0
+	var visit func(path string, v reflect.Value)
+	visit = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				visit(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		case reflect.Pointer:
+			visit(path, v.Elem())
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		// XOR 1 keeps every enum in range (Bursty<->Poisson, and so on)
+		// and every enabled count enabled.
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() ^ 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() ^ 1)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.String:
+			v.SetString(v.String() + "2")
+		default:
+			t.Fatalf("%s: no way to vary a %v field", path, v.Kind())
+		}
+		if c.Fingerprint() == base {
+			t.Errorf("%s: changing it leaves the fingerprint unchanged", path)
+		}
+		v.Set(old)
+		fields++
+	}
+	visit("Cell", reflect.ValueOf(&c).Elem())
+	if c.Fingerprint() != base {
+		t.Fatal("restoring every field did not restore the fingerprint")
+	}
+	t.Logf("%d fields vary the fingerprint", fields)
 }
