@@ -69,6 +69,9 @@ func Repair(img []byte) []string {
 			}
 		}
 	}
+	// A dangling "." or ".." in the first chunk is re-pointed rather than
+	// cleared — "." at the directory itself, ".." at the root, as
+	// reformatChunk seeds them — so the directory keeps its dots.
 	refs := make([]int, sb.NInodes)
 	for ino := ffs.Ino(2); uint32(ino) < sb.NInodes; ino++ {
 		if ip := &inodes[ino]; ip.IsDir() {
@@ -77,8 +80,24 @@ func Repair(img []byte) []string {
 				switch {
 				case e.bad || e.ino == 0:
 				case !live(e.ino):
-					binary.LittleEndian.PutUint32(r.raw[r.dirOff(ip, e.off):], 0)
-					log("cleared dangling entry in inode %d (named %d)", ino, e.ino)
+					to := ffs.Ino(0)
+					if e.off < ffs.DirChunk {
+						switch string(e.name(data)) {
+						case ".":
+							to = ino
+						case "..":
+							if live(ffs.RootIno) {
+								to = ffs.RootIno
+							}
+						}
+					}
+					binary.LittleEndian.PutUint32(r.raw[r.dirOff(ip, e.off):], uint32(to))
+					if to == 0 {
+						log("cleared dangling entry in inode %d (named %d)", ino, e.ino)
+						break
+					}
+					refs[to]++
+					log("re-pointed dangling %q in directory %d (named %d) at inode %d", e.name(data), ino, e.ino, to)
 				default:
 					refs[e.ino]++
 				}

@@ -277,3 +277,56 @@ func TestRepairTruncatesBadPointers(t *testing.T) {
 		t.Fatalf("bad pointer survived repair: %v", v)
 	}
 }
+
+// TestRepairRepointsDanglingDots: a directory whose "." or ".." names a
+// free inode keeps the entry — "." re-pointed at the directory itself,
+// ".." at the root — instead of losing it and failing the re-check with a
+// directory that lacks its dots.
+func TestRepairRepointsDanglingDots(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		off  int // the entry's offset in the first chunk
+		want func(dir ffs.Ino) ffs.Ino
+	}{
+		{".", 0, func(dir ffs.Ino) ffs.Ino { return dir }},
+		{"..", 12, func(ffs.Ino) ffs.Ino { return ffs.RootIno }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := buildCrashRig(t, "noorder", false, metadataChurn)
+			r.eng.Run()
+			img := r.dsk.CloneImage()
+			sb := superblockOf(t, img)
+			var dir, free ffs.Ino
+			var head []byte
+			for ino := ffs.Ino(3); uint32(ino) < sb.NInodes; ino++ {
+				frag, off := sb.InodeFrag(ino)
+				ip := ffs.DecodeInode(img[int64(frag)*ffs.FragSize+int64(off):])
+				switch {
+				case !ip.Allocated() && free == 0:
+					free = ino
+				case ip.IsDir() && dir == 0:
+					dir = ino
+					head = img[int64(ip.Direct[0])*ffs.FragSize:][:ffs.DirChunk]
+				}
+			}
+			if dir == 0 || free == 0 {
+				t.Fatal("rig has no non-root directory or no free inode")
+			}
+			if name := string(head[c.off+8 : c.off+8+int(head[c.off+6])]); name != c.name {
+				t.Fatalf("entry at %d is %q, want %q", c.off, name, c.name)
+			}
+			le := binary.LittleEndian
+			le.PutUint32(head[c.off:], uint32(free))
+			actions := fsck.Repair(img)
+			if got, want := ffs.Ino(le.Uint32(head[c.off:])), c.want(dir); got != want {
+				t.Errorf("repaired %q names inode %d, want %d", c.name, got, want)
+			}
+			if !slices.ContainsFunc(actions, func(a string) bool { return strings.HasPrefix(a, "re-pointed dangling") }) {
+				t.Errorf("no re-point action logged: %q", actions)
+			}
+			if rep := fsck.Check(img); len(rep.Findings) != 0 {
+				t.Fatalf("image not clean after repair: %v", rep.Findings[0])
+			}
+		})
+	}
+}

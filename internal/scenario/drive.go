@@ -34,6 +34,12 @@ var payload = make([]byte, 64<<10)
 type FSTarget struct {
 	FS   *ffs.FS
 	Dirs []ffs.Ino
+
+	// sink receives every read; the bytes are discarded. One target
+	// belongs to one simulation, where only one process runs at a time,
+	// so its reads can share it. (A package-level sink would be shared by
+	// simulations that run concurrently.)
+	sink []byte
 }
 
 // SetupFS creates the stream's directory set under the root and returns
@@ -92,7 +98,10 @@ func (t *FSTarget) Do(p *sim.Proc, op Op) error {
 		if n <= 0 || n > len(payload) {
 			n = len(payload)
 		}
-		_, err = t.FS.ReadAt(p, ino, 0, make([]byte, n))
+		if len(t.sink) < n {
+			t.sink = make([]byte, len(payload))
+		}
+		_, err = t.FS.ReadAt(p, ino, 0, t.sink[:n])
 		return err
 	case KFsync:
 		ino, err := t.FS.Lookup(p, t.Dirs[op.Dir], op.Name)
@@ -246,7 +255,10 @@ func Drive(exec sim.Exec, target Target, stream Stream, spec RunSpec) Result {
 			}
 			wg.Add(1)
 			sched := at
-			eng.Spawn(fmt.Sprintf("op%d", i), func(q *sim.Proc) {
+			// One constant name: naming each arrival would allocate per
+			// operation. A panicking arrival is still identified by the
+			// Proc.ID in the engine's panic message.
+			eng.Spawn("op", func(q *sim.Proc) {
 				err := target.Do(q, op)
 				end := q.Now()
 				res.Completed++

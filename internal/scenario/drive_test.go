@@ -3,11 +3,13 @@ package scenario_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"metaupdate/fsim"
 	"metaupdate/internal/arrival"
 	"metaupdate/internal/scenario"
+	"metaupdate/internal/sim"
 )
 
 // smallOpts is a compact machine for driver tests.
@@ -208,5 +210,50 @@ func TestDriveCluster(t *testing.T) {
 	// stream should mostly find its files.
 	if res.SoftErrs > res.Completed/5 {
 		t.Errorf("cluster soft errors %d out of %d", res.SoftErrs, res.Completed)
+	}
+}
+
+// TestCachedReadAllocation bounds the host allocation of an open-loop
+// read: a cached 8 KiB KRead reads into the target's reused sink, so after
+// warm-up it allocates far less than the bytes it reads.
+func TestCachedReadAllocation(t *testing.T) {
+	sys, err := fsim.New(smallOpts(fsim.SoftUpdates))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	stream, err := scenario.New("mail", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := scenario.SetupFS(sys.Eng, sys.FS, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size, ops = 8192, 400
+	read := scenario.Op{Kind: scenario.KRead, Name: "f", Size: size}
+	run := func(n int, body func(p *sim.Proc) error) {
+		done := false
+		sys.Eng.Spawn("reader", func(p *sim.Proc) {
+			defer func() { done = true }()
+			for i := 0; i < n; i++ {
+				if err := body(p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		sys.Eng.RunWhile(func() bool { return !done })
+	}
+	run(1, func(p *sim.Proc) error {
+		return target.Do(p, scenario.Op{Kind: scenario.KCreate, Name: "f", Size: size})
+	})
+	run(10, func(p *sim.Proc) error { return target.Do(p, read) }) // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(ops, func(p *sim.Proc) error { return target.Do(p, read) })
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / ops; per >= 1024 {
+		t.Errorf("cached %d-byte KRead allocates %.0f bytes per operation, want < 1 KiB", size, per)
 	}
 }

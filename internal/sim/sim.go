@@ -1,11 +1,17 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The whole reproduction runs in virtual time: simulated processes ("users",
-// the syncer daemon) are goroutines driven in lock-step by an Engine, so at
-// any instant at most one goroutine — the engine or exactly one process — is
-// running. This makes every experiment bit-for-bit reproducible and immune
-// to Go scheduler and GC noise, which is essential for the paper's
-// buffer-cache-sensitive benchmarks.
+// the syncer daemon) are goroutines that take turns holding the engine's
+// baton, and only the holder runs. The dispatch loop runs on whichever
+// goroutine holds it: the host inside Run/RunUntil/RunWhile, or a process
+// inside a blocking call. A blocking process dispatches engine-context
+// events (callbacks, deliveries) itself; when it pops its own wake-up it
+// simply returns, and when it pops another process's wake-up it hands that
+// process the baton with one channel send and parks. So a self-wake costs
+// no goroutine switch and a wake of another process costs one. This makes
+// every experiment bit-for-bit reproducible and immune to Go scheduler and
+// GC noise, which is essential for the paper's buffer-cache-sensitive
+// benchmarks.
 //
 // Time is an int64 count of virtual nanoseconds. Events scheduled for the
 // same instant fire in schedule order (a strictly increasing sequence number
@@ -24,6 +30,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 )
@@ -93,8 +100,8 @@ func (ev *event) less(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// Engine is the simulation executive: an event queue plus the lock-step
-// machinery that hands control between the engine goroutine and process
+// Engine is the simulation executive: an event queue plus the baton that
+// passes the dispatch loop between the host goroutine and process
 // goroutines.
 type Engine struct {
 	now Time
@@ -109,11 +116,22 @@ type Engine struct {
 	// ever touching the heap.
 	fast     []event
 	fastHead int
-	yield    chan yieldMsg
 	live     int  // live (spawned, not finished) processes
 	halted   bool // RunUntil hit its limit; scheduling now panics until the next run
 	procIDs  int  // per-engine Proc.ID source; engines must not share state
 	executed uint64
+
+	// The baton. host is where the host goroutine parks while a process
+	// holds it; the rest describe the run in flight, so that whichever
+	// goroutine holds the baton knows when the run ends.
+	host     chan struct{}
+	running  bool        // a run is in flight; a nested run panics
+	stop     Time        // the run dispatches events with at < stop
+	halt     bool        // reaching stop marks the engine halted (serial runs, not PDES windows)
+	cond     func() bool // non-nil: the run ends once cond reports false
+	condStop bool        // the last run ended on cond
+	fault    any         // a panic handed back to the host with the baton
+	handoffs uint64
 
 	// heapLow / fastLow are the shrink-hysteresis counters: consecutive
 	// pops (drains) during which the backing array stayed under a quarter
@@ -132,6 +150,13 @@ type Engine struct {
 // created (the events-per-second numerator in BENCH_4.json).
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// Handoffs reports the number of goroutine switches the engine has made
+// since it was created: each time the baton passed from one goroutine to
+// another — to a woken process, or back to the host when a run ended
+// while a process held it. A process woken by its own dispatch loop
+// costs none.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
+
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return e.live }
 
@@ -140,15 +165,9 @@ func (e *Engine) Live() int { return e.live }
 // events until Run/RunUntil/RunWhile is called again.
 func (e *Engine) Halted() bool { return e.halted }
 
-type yieldMsg struct {
-	done   bool        // process function returned
-	panicV interface{} // non-nil: the process panicked; re-panic in Run
-	stack  []byte
-}
-
 // NewEngine returns an empty simulation at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan yieldMsg)}
+	return &Engine{host: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -314,24 +333,33 @@ func (e *Engine) peek() (Time, bool) {
 	return 0, false
 }
 
-// pop removes and returns the globally next event: the fast-queue head wins
-// unless the heap top has the same timestamp and a smaller sequence number
-// (an earlier-scheduled event at the same instant that went through the heap
+// popBefore removes and returns the globally next event if it is due
+// before stop; otherwise it leaves the queue as it is and reports false.
+// The fast-queue head wins unless the heap top sorts before it (an
+// earlier-scheduled event at the same instant that went through the heap
 // before the instant became "now").
-func (e *Engine) pop() event {
+func (e *Engine) popBefore(stop Time) (event, bool) {
 	if e.fastHead < len(e.fast) {
 		f := &e.fast[e.fastHead]
 		if len(e.heap) == 0 || !e.heap[0].less(f) {
+			if f.at >= stop {
+				return event{}, false
+			}
 			ev := *f
 			*f = event{} // drop fn/proc references
 			e.fastHead++
 			if e.fastHead == len(e.fast) {
 				e.resetFast()
 			}
-			return ev
+			return ev, true
 		}
+	} else if len(e.heap) == 0 {
+		return event{}, false
 	}
-	return e.heapPop()
+	if e.heap[0].at >= stop {
+		return event{}, false
+	}
+	return e.heapPop(), true
 }
 
 // resetFast rewinds a drained fast queue, applying the same shrink
@@ -373,8 +401,9 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// Proc is a simulated process: a goroutine that runs only when the engine
-// resumes it and always parks itself back before the engine continues.
+// Proc is a simulated process: a goroutine that runs only while it holds
+// the engine's baton, and that runs the dispatch loop itself whenever it
+// blocks.
 type Proc struct {
 	eng    *Engine
 	Name   string
@@ -412,32 +441,26 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 				pprof.Labels("lp", label)))
 		}
-		<-p.resume // wait for the engine to run our start event
-		defer func() {
-			if r := recover(); r != nil {
-				// Forward the panic to the engine goroutine; swallowing it
-				// here would deadlock Run on the yield channel.
-				e.yield <- yieldMsg{done: true, panicV: r, stack: debug.Stack()}
-				return
-			}
-			e.yield <- yieldMsg{done: true}
-		}()
+		<-p.resume // wait for the baton: our start event was dispatched
+		defer e.exit(p)
 		fn(p)
 	}()
 	e.wake(p)
 	return p
 }
 
-// runProc resumes p and blocks until p parks again (or finishes).
-func (e *Engine) runProc(p *Proc) {
-	p.resume <- struct{}{}
-	m := <-e.yield
-	if m.done {
-		e.live--
+// exit runs on p's goroutine when its body returns, panics or calls
+// runtime.Goexit. The goroutine still holds the baton: it dispatches until
+// it can hand the baton off, then ends. A panic in the body goes to the
+// host, which re-panics in the caller of Run naming the process.
+func (e *Engine) exit(p *Proc) {
+	e.live--
+	if r := recover(); r != nil {
+		e.fault = fmt.Sprintf("sim: process %q (id %d) panicked: %v\n%s", p.Name, p.ID, r, debug.Stack())
+		e.pass(nil)
+		return
 	}
-	if m.panicV != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v\n%s", p.Name, m.panicV, m.stack))
-	}
+	e.pass(e.procLoop())
 }
 
 // Run executes events until the event queue is empty.
@@ -449,41 +472,18 @@ func (e *Engine) Run() { e.RunUntil(maxTime) }
 // on a private channel). This is how crash-injection tests freeze a system
 // mid-flight. Stopping at the limit marks the engine halted (see Halted);
 // calling Run/RunUntil/RunWhile again clears the mark and resumes delivery.
-func (e *Engine) RunUntil(limit Time) { e.run(limit, nil) }
+func (e *Engine) RunUntil(limit Time) {
+	e.halted = false
+	e.drive(limit+1, true, nil)
+}
 
 // RunWhile executes events for as long as cond() holds and events remain.
 // It lets callers run a workload to completion while daemon processes (the
-// syncer) keep scheduling events forever.
-func (e *Engine) RunWhile(cond func() bool) { e.run(maxTime, cond) }
-
-// run is the single dispatch loop behind Run, RunUntil and RunWhile.
-func (e *Engine) run(limit Time, cond func() bool) {
+// syncer) keep scheduling events forever. cond runs in engine context, on
+// whichever goroutine holds the baton.
+func (e *Engine) RunWhile(cond func() bool) {
 	e.halted = false
-	for cond == nil || cond() {
-		at, ok := e.peek()
-		if !ok {
-			return // queue drained
-		}
-		if at > limit {
-			e.halted = true
-			return
-		}
-		e.dispatch(e.pop())
-	}
-}
-
-// dispatch fires one popped event.
-func (e *Engine) dispatch(ev event) {
-	e.now = ev.at
-	e.executed++
-	switch {
-	case ev.proc != nil:
-		e.runProc(ev.proc)
-	case ev.fn != nil:
-		ev.fn()
-	default:
-		ev.del.Deliver()
-	}
+	e.drive(maxTime+1, true, cond)
 }
 
 // runWindow executes events with timestamps strictly below horizon — one
@@ -491,18 +491,113 @@ func (e *Engine) dispatch(ev event) {
 // checked before every event, exactly like RunWhile) stopped it early.
 // Unlike RunUntil it never marks the engine halted: between windows the
 // coordinator injects cross-LP deliveries and host code spawns processes,
-// both of which a halted engine would reject.
+// both of which a halted engine would reject. The worker that calls it is
+// the run's host.
 func (e *Engine) runWindow(horizon Time, cond func() bool) bool {
+	return e.drive(horizon, false, cond)
+}
+
+// drive is the host side of every run: it starts the dispatch loop on the
+// calling goroutine and, if the loop hands the baton to a process, parks
+// until the baton comes back. A panic handed back with it — from a process
+// body, or from engine context on a process goroutine — is re-raised here,
+// in the caller of Run; an engine-context panic on the host goroutine
+// unwinds through here directly. It reports whether cond ended the run.
+func (e *Engine) drive(stop Time, halt bool, cond func() bool) bool {
+	if e.running {
+		panic("sim: Run, RunUntil or RunWhile called from inside a running simulation (a process or an engine-context callback)")
+	}
+	e.running, e.stop, e.halt, e.cond, e.condStop = true, stop, halt, cond, false
+	defer e.endRun()
+	if p := e.loop(); p != nil {
+		e.pass(p)
+		<-e.host
+		if f := e.fault; f != nil {
+			e.fault = nil
+			if f == (goexit{}) {
+				runtime.Goexit()
+			}
+			panic(f)
+		}
+	}
+	return e.condStop
+}
+
+// endRun clears the run in flight, also when a panic ends it.
+func (e *Engine) endRun() {
+	e.running = false
+	e.cond = nil
+}
+
+// loop is the dispatch loop. It runs on the baton holder and fires
+// engine-context events inline until either the run ends — it returns
+// nil, and the host must get the baton back — or it pops a process's
+// wake-up, which it returns: the caller continues if that is itself and
+// hands the baton over otherwise.
+func (e *Engine) loop() *Proc {
+	stop, cond := e.stop, e.cond
 	for {
 		if cond != nil && !cond() {
-			return true
+			e.condStop = true
+			return nil
 		}
-		at, ok := e.peek()
-		if !ok || at >= horizon {
-			return false
+		ev, ok := e.popBefore(stop)
+		if !ok {
+			if e.halt && e.Pending() > 0 {
+				e.halted = true
+			}
+			return nil
 		}
-		e.dispatch(e.pop())
+		e.now = ev.at
+		e.executed++
+		switch {
+		case ev.proc != nil:
+			return ev.proc
+		case ev.fn != nil:
+			ev.fn()
+		default:
+			ev.del.Deliver()
+		}
 	}
+}
+
+// procLoop is loop on a process goroutine. An engine-context panic there
+// must not unwind the process — its deferred calls would run in the middle
+// of the dispatch — so it is handed to the host with the baton, and the
+// goroutine parks for good. A runtime.Goexit there (t.FailNow in a
+// callback) is handed over the same way and repeated by the host.
+func (e *Engine) procLoop() *Proc {
+	done := false
+	defer func() {
+		if done {
+			return
+		}
+		f := recover()
+		if f == nil {
+			f = goexit{}
+		}
+		e.fault = f
+		e.pass(nil)
+		select {}
+	}()
+	next := e.loop()
+	done = true
+	return next
+}
+
+// goexit is the fault recorded for a runtime.Goexit in engine context.
+type goexit struct{}
+
+// pass hands the baton to p, or back to the host if p is nil: one channel
+// send, which makes the receiver runnable. The caller must park or end
+// right after.
+func (e *Engine) pass(p *Proc) {
+	e.handoffs++
+	if p == nil {
+		e.host <- struct{}{}
+		return
+	}
+	p.resume <- struct{}{}
 }
 
 // Pending reports the number of queued events (useful in tests).
@@ -526,10 +621,18 @@ var (
 	_ Exec = (*LPGroup)(nil)
 )
 
-// block parks the calling process goroutine and hands control back to the
-// engine. The caller must already have arranged for something to resume it.
+// block suspends p until its wake-up is dispatched. The caller must
+// already have arranged for something to wake it. p holds the baton, so it
+// runs the dispatch loop itself: if the next process to wake is p, block
+// returns without a goroutine switch; otherwise p hands the baton on and
+// parks until it is handed back.
 func (p *Proc) block() {
-	p.eng.yield <- yieldMsg{}
+	e := p.eng
+	next := e.procLoop()
+	if next == p {
+		return
+	}
+	e.pass(next)
 	<-p.resume
 }
 
