@@ -7,16 +7,21 @@
 //	mdsim -exp fig5 -scale 0.25
 //	mdsim -exp all -j 8
 //	mdsim -exp all -scale 0.1 -json results.json
+//	mdsim -faults -json faults.json
 //
 // Each experiment declares its simulation cells (one self-contained
 // deterministic system + workload per cell); a shared runner executes them
-// on a -j-wide worker pool and memoizes results by fingerprint, so cells
+// on a -j-wide worker pool and memoizes results by cell value, so cells
 // common to several exhibits simulate once per process. Tables go to
 // stdout and are byte-identical for any -j and for cold or warm memos;
 // timing and cache diagnostics go to stderr. -scale shrinks workload sizes
-// for quicker runs; shapes are stable well below 1.0. -json additionally
-// writes the machine-readable report (rows, per-cell wall-clock,
-// memoization counters).
+// for quicker runs; shapes are stable well below 1.0.
+//
+// -exp, -faults, -opstats, -dist, -load and -scenario each choose
+// exhibits, and all of them run through the same loop, so every exhibit
+// mode accepts -json: it additionally writes the machine-readable report
+// (rows, per-cell wall-clock, memoization counters). -trace, -optrace and
+// -list are not exhibits.
 package main
 
 import (
@@ -89,102 +94,6 @@ func main() {
 		}()
 	}
 
-	if *faults {
-		// The fault sweep is an opt-in diagnostic, not one of the paper's
-		// exhibits, so it lives outside -exp/-list. Cells run on the same
-		// memoizing runner; stdout is byte-identical for any -j.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Runner = runner
-		for _, t := range harness.FaultRecoveryExhibit.Tables(cfg) {
-			t.Fprint(os.Stdout)
-		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[faults: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *opstats {
-		// Like -faults: an opt-in diagnostic outside -exp/-list, so the
-		// golden transcript pinning `-exp all` is untouched. All numbers
-		// are virtual-time, so stdout is byte-identical for any -j.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		for _, t := range harness.OpStatsExhibit.Tables(cfg) {
-			t.Fprint(os.Stdout)
-		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[opstats: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *dist {
-		// Like -faults and -opstats: an opt-in extension outside
-		// -exp/-list, so the golden transcript pinning `-exp all` is
-		// untouched. All numbers are virtual-time, so stdout is
-		// byte-identical for any -j.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		cfg.EngineWorkers = *engineWorkers
-		for _, t := range harness.DistExhibit.Tables(cfg) {
-			t.Fprint(os.Stdout)
-		}
-		st := runner.Stats()
-		fmt.Fprintf(os.Stderr, "[dist: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		return
-	}
-
-	if *load || *scenarioName != "" {
-		// Like -faults/-opstats/-dist: opt-in studies outside -exp/-list,
-		// so the golden transcript pinning `-exp all` is untouched. All
-		// numbers are virtual-time, so stdout is byte-identical for any -j
-		// and cold or warm memos; -json captures the same tables.
-		runner := harness.NewRunner(*jobs)
-		cfg := harness.DefaultConfig(os.Stdout)
-		cfg.Scale = harness.Scale(*scale)
-		cfg.Runner = runner
-		cfg.EngineWorkers = *engineWorkers
-		var exhibits []*harness.Exhibit
-		if *load {
-			exhibits = append(exhibits, harness.LoadCurveExhibit)
-		}
-		if *scenarioName != "" {
-			exhibits = append(exhibits, harness.ScenarioExhibit(*scenarioName, *rate, *scenarioNodes))
-		}
-		report := harness.Report{Scale: *scale, Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
-		total := time.Now()
-		for _, ex := range exhibits {
-			start := time.Now()
-			tables := ex.Tables(cfg)
-			for _, t := range tables {
-				t.Fprint(os.Stdout)
-			}
-			report.Exhibits = append(report.Exhibits, harness.ExhibitReport{
-				Name: ex.Name, WallSec: time.Since(start).Seconds(), Tables: tables,
-			})
-		}
-		report.WallSec = time.Since(total).Seconds()
-		report.Runner = runner.Stats()
-		report.Cells = runner.CellTimings()
-		st := report.Runner
-		fmt.Fprintf(os.Stderr, "[load: %d cells simulated, %d memo hits, %d workers]\n",
-			st.Executed, st.Hits, st.Workers)
-		if *jsonPath != "" {
-			if err := writeReport(report, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
 	if *opTrace != "" {
 		if err := runOpTrace(*opTraceScheme, harness.Scale(*scale), *opTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
@@ -201,50 +110,77 @@ func main() {
 		return
 	}
 
-	if *list || *exp == "" {
+	// The mode flags only choose exhibits. -faults, -opstats, -dist,
+	// -load and -scenario are opt-in studies outside -exp/-list, so the
+	// golden transcript pinning `-exp all` is untouched.
+	var exhibits []*harness.Exhibit
+	if *faults {
+		exhibits = append(exhibits, harness.FaultRecoveryExhibit)
+	}
+	if *opstats {
+		exhibits = append(exhibits, harness.OpStatsExhibit)
+	}
+	if *dist {
+		exhibits = append(exhibits, harness.DistExhibit)
+	}
+	if *load {
+		exhibits = append(exhibits, harness.LoadCurveExhibit)
+	}
+	if *scenarioName != "" {
+		exhibits = append(exhibits, harness.ScenarioExhibit(*scenarioName, *rate, *scenarioNodes))
+	}
+	switch {
+	case *exp == "all":
+		exhibits = append(exhibits, harness.Exhibits...)
+	case *exp != "":
+		ex := harness.ExhibitByName[*exp]
+		if ex == nil {
+			fmt.Fprintf(os.Stderr, "mdsim: unknown experiment %q (try -list)\n", *exp)
+			os.Exit(2)
+		}
+		exhibits = append(exhibits, ex)
+	}
+
+	if *list || len(exhibits) == 0 {
 		fmt.Println("experiments:")
 		for _, name := range harness.ExperimentNames {
 			fmt.Printf("  %s\n", name)
 		}
 		fmt.Println("  all")
-		if *exp == "" && !*list {
+		if !*list {
 			os.Exit(2)
 		}
 		return
 	}
 
-	runner := harness.NewRunner(*jobs)
 	cfg := harness.DefaultConfig(os.Stdout)
 	cfg.Scale = harness.Scale(*scale)
-	cfg.Runner = runner
+	cfg.Runner = harness.NewRunner(*jobs)
+	cfg.EngineWorkers = *engineWorkers
+	if err := runExhibits(cfg, exhibits, *jsonPath); err != nil {
+		fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = harness.ExperimentNames
-	}
-	report := harness.Report{
-		Scale: *scale,
-		Jobs:  runner.Workers(),
-		CPUs:  runtime.NumCPU(),
-	}
+// runExhibits resolves the exhibits in order on cfg.Runner, prints their
+// tables to stdout, writes one runner summary to stderr and, when
+// jsonPath is set, the machine-readable report. Diagnostics go to stderr
+// so stdout stays byte-identical across -j values and cache states.
+func runExhibits(cfg harness.Config, exhibits []*harness.Exhibit, jsonPath string) error {
+	runner := cfg.Runner
+	report := harness.Report{Scale: float64(cfg.Scale), Jobs: runner.Workers(), CPUs: runtime.NumCPU()}
 	total := time.Now()
-	for _, name := range names {
-		ex := harness.ExhibitByName[name]
-		if ex == nil {
-			fmt.Fprintf(os.Stderr, "mdsim: unknown experiment %q (try -list)\n", name)
-			os.Exit(2)
-		}
+	for _, ex := range exhibits {
 		start := time.Now()
 		tables := ex.Tables(cfg)
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 		}
 		wall := time.Since(start)
-		// Diagnostics go to stderr so stdout stays byte-identical across
-		// -j values and cache states.
-		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs of real time]\n", name, wall.Seconds())
+		fmt.Fprintf(os.Stderr, "[%s completed in %.1fs of real time]\n", ex.Name, wall.Seconds())
 		report.Exhibits = append(report.Exhibits, harness.ExhibitReport{
-			Name: name, WallSec: wall.Seconds(), Tables: tables,
+			Name: ex.Name, WallSec: wall.Seconds(), Tables: tables,
 		})
 	}
 	report.WallSec = time.Since(total).Seconds()
@@ -254,13 +190,10 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"[runner: %d cells simulated, %d memo hits, %d workers, %.1fs cell time in %.1fs wall]\n",
 		st.Executed, st.Hits, st.Workers, st.CellWall, report.WallSec)
-
-	if *jsonPath != "" {
-		if err := writeReport(report, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "mdsim: %v\n", err)
-			os.Exit(1)
-		}
+	if jsonPath == "" {
+		return nil
 	}
+	return writeReport(report, jsonPath)
 }
 
 // writeReport writes the machine-readable report and logs the path.

@@ -20,7 +20,7 @@ const (
 // OpenLoopSpec configures an open-loop scenario run: which operation
 // stream to offer, on what arrival schedule, and how the measurement
 // window is framed. The zero value is disabled — the closed-loop status
-// quo, so every pre-open-loop cell fingerprint is unchanged.
+// quo.
 type OpenLoopSpec struct {
 	// Scenario names the internal/scenario stream ("mail", "build",
 	// "webcache").
@@ -37,18 +37,6 @@ type OpenLoopSpec struct {
 
 // Enabled reports whether the spec describes a run.
 func (s OpenLoopSpec) Enabled() bool { return s.Arrival.Enabled() && s.Ops > 0 }
-
-// String renders the spec canonically for harness cell fingerprints.
-func (s OpenLoopSpec) String() string {
-	if !s.Enabled() {
-		return "off"
-	}
-	out := fmt.Sprintf("%s,arr{%s},ops%d,warm%d", s.Scenario, s.Arrival, s.Ops, s.Warmup)
-	if s.MaxInFlight > 0 {
-		out += fmt.Sprintf(",max%d", s.MaxInFlight)
-	}
-	return out
-}
 
 // runSpec lowers the options to the scenario driver's parameters.
 func (s OpenLoopSpec) runSpec() scenario.RunSpec {

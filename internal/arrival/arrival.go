@@ -14,7 +14,7 @@
 // preceding arrival i is computed from a splitmix64 state keyed by (seed,
 // i), never from a running stream, so a generator can be replayed from any
 // index, results are byte-identical at any harness worker count, and
-// harness cells fingerprinted on the Spec stay memoizable.
+// harness cells keyed on the Spec stay memoizable.
 package arrival
 
 import (
@@ -60,9 +60,8 @@ const (
 )
 
 // Spec parameterizes an arrival process. All fields are plain integers so
-// a Spec is comparable and fingerprint-friendly (the harness embeds its
-// canonical String in cell fingerprints). The zero value is disabled —
-// no arrivals, the closed-loop status quo.
+// a Spec is comparable and can sit in a harness memo key. The zero value
+// is disabled — no arrivals, the closed-loop status quo.
 type Spec struct {
 	Kind Kind
 	// Seed keys every draw; two seeds give independent processes.
@@ -83,18 +82,6 @@ type Spec struct {
 
 // Enabled reports whether the spec generates any arrivals.
 func (s Spec) Enabled() bool { return s.PerSec > 0 }
-
-// String renders the spec canonically (used in harness cell fingerprints).
-func (s Spec) String() string {
-	if !s.Enabled() {
-		return "off"
-	}
-	n := s.normalized()
-	if n.Kind == Poisson {
-		return fmt.Sprintf("poisson:seed%d,rate%d", n.Seed, n.PerSec)
-	}
-	return fmt.Sprintf("bursty:seed%d,rate%d,b%d,lv%d", n.Seed, n.PerSec, n.BPer1000, n.Levels)
-}
 
 // normalized fills the defaulted cascade parameters.
 func (s Spec) normalized() Spec {

@@ -170,22 +170,24 @@ func TestPureFunctionOfIndex(t *testing.T) {
 	}
 }
 
-// TestSpecString pins the canonical fingerprint forms, including
-// normalization of defaulted cascade parameters.
-func TestSpecString(t *testing.T) {
+// TestSpecNormalized pins the defaulted cascade parameters: Bursty fills
+// BPer1000 and Levels (and caps the bias below 1000), Poisson is left as
+// given.
+func TestSpecNormalized(t *testing.T) {
 	cases := []struct {
-		spec Spec
-		want string
+		spec, want Spec
 	}{
-		{Spec{}, "off"},
-		{Spec{Kind: Bursty}, "off"},
-		{Spec{Kind: Poisson, Seed: 5, PerSec: 100}, "poisson:seed5,rate100"},
-		{Spec{Kind: Bursty, Seed: 5, PerSec: 100}, "bursty:seed5,rate100,b700,lv14"},
-		{Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 900, Levels: 8}, "bursty:seed5,rate100,b900,lv8"},
+		{Spec{Kind: Poisson, Seed: 5, PerSec: 100}, Spec{Kind: Poisson, Seed: 5, PerSec: 100}},
+		{Spec{Kind: Bursty, Seed: 5, PerSec: 100},
+			Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: DefaultBPer1000, Levels: DefaultLevels}},
+		{Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 900, Levels: 8},
+			Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 900, Levels: 8}},
+		{Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 1000, Levels: 8},
+			Spec{Kind: Bursty, Seed: 5, PerSec: 100, BPer1000: 999, Levels: 8}},
 	}
 	for _, c := range cases {
-		if got := c.spec.String(); got != c.want {
-			t.Errorf("%+v.String() = %q, want %q", c.spec, got, c.want)
+		if got := c.spec.normalized(); got != c.want {
+			t.Errorf("%+v.normalized() = %+v, want %+v", c.spec, got, c.want)
 		}
 	}
 }

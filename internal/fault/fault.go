@@ -5,7 +5,7 @@
 // package is how the repository stops hard-coding that assumption while
 // keeping every run reproducible.
 //
-// A Spec is a pure value (it participates in harness cell fingerprints); a
+// A Spec is a pure value (it is part of a harness cell's memo key); a
 // Plan is the per-disk compiled form the drive model consults on every
 // media access. All randomness comes from one seeded splitmix64 stream
 // advanced a fixed number of draws per access, so a given access sequence
@@ -71,8 +71,9 @@ type Outcome struct {
 }
 
 // Spec parameterizes a fault plan. All fields are plain integers so a Spec
-// is comparable and fingerprint-friendly. Rates are per ten thousand
-// accesses; zero everywhere (or a nil/absent plan) means a fault-free disk.
+// is comparable and can sit in a harness memo key. Rates are per ten
+// thousand accesses; zero everywhere (or a nil/absent plan) means a
+// fault-free disk.
 type Spec struct {
 	// Seed selects the deterministic fault stream (and the bad-sector set).
 	Seed int64
@@ -97,7 +98,7 @@ func (s Spec) Enabled() bool {
 	return s.TransientPer10k > 0 || s.TornPer10k > 0 || s.LatencyPer10k > 0 || s.BadSectors > 0
 }
 
-// String renders the spec canonically (used in harness cell fingerprints).
+// String renders the spec canonically (the faults table title prints it).
 func (s Spec) String() string {
 	if !s.Enabled() {
 		return "off"

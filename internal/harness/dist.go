@@ -10,7 +10,7 @@ import (
 )
 
 // DistSpec is the cluster shape and client load of one CellDist cell.
-// Every field participates in the cell fingerprint, so distinct cluster
+// It is part of the Cell value the runner keys on, so distinct cluster
 // configurations memoize separately.
 type DistSpec struct {
 	// Nodes is the initial shard count; growth by dynamic splitting is
@@ -24,7 +24,7 @@ type DistSpec struct {
 	Seed int64
 	// EngineWorkers selects the parallel PDES engine (> 1) or the serial
 	// one (0/1). Results are byte-identical either way; the field is in
-	// the fingerprint so benchmark sweeps memoize the modes separately.
+	// the memo key so benchmark sweeps memoize the modes separately.
 	EngineWorkers int
 }
 

@@ -94,9 +94,8 @@ type Config struct {
 	Runner *Runner
 	// EngineWorkers > 1 runs each distributed cell on that many parallel
 	// event-engine workers (fsim.DistOptions.EngineWorkers); output is
-	// byte-identical to the serial engine. It participates in the cell
-	// fingerprint via DistSpec, so parallel and serial runs memoize
-	// separately.
+	// byte-identical to the serial engine. It reaches the memo key via
+	// DistSpec, so parallel and serial runs memoize separately.
 	EngineWorkers int
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -27,9 +28,10 @@ func TestMeanEmptySlice(t *testing.T) {
 	}
 }
 
-// Fingerprints must separate every cell parameter that changes simulation
-// results; a collision would silently serve one configuration's numbers as
-// another's.
+// Memo keys must separate every cell parameter that changes simulation
+// results (a collision would silently serve one configuration's numbers
+// as another's), and must not separate equal disks reached through
+// different pointers.
 func TestFingerprintsDistinct(t *testing.T) {
 	cells := []Cell{
 		{Kind: CellCopy, Users: 4, Scale: 0.1},
@@ -41,27 +43,43 @@ func TestFingerprintsDistinct(t *testing.T) {
 		{Kind: CellSdet, Users: 4, Commands: 10},
 		{Kind: CellAndrew},
 	}
-	seen := make(map[string]int)
+	seen := make(map[memoKey]int)
 	for i, c := range cells {
-		fp := c.Fingerprint()
-		if j, dup := seen[fp]; dup {
-			t.Fatalf("cells %d and %d share fingerprint %q", i, j, fp)
+		k := keyOf(c)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("cells %d and %d share key %+v", i, j, k)
 		}
-		seen[fp] = i
+		seen[k] = i
 	}
-	a := Cell{Kind: CellCopy, Users: 4, Scale: 0.1}
-	if a.Fingerprint() != (Cell{Kind: CellCopy, Users: 4, Scale: 0.1}).Fingerprint() {
-		t.Fatal("equal cells produced different fingerprints")
+	if keyOf(Cell{Kind: CellCopy, Users: 4, Scale: 0.1}) != keyOf(Cell{Kind: CellCopy, Users: 4, Scale: 0.1}) {
+		t.Fatal("equal cells produced different keys")
+	}
+
+	withDisk := func(p *disk.Params) Cell {
+		return Cell{Kind: CellAndrew, Opt: fsim.Options{DiskParams: p}}
+	}
+	p1, p2 := disk.HPC2447(), disk.HPC2447()
+	if keyOf(withDisk(&p1)) != keyOf(withDisk(&p2)) {
+		t.Error("equal DiskParams behind distinct pointers produced different keys")
+	}
+	if keyOf(withDisk(nil)) != keyOf(withDisk(&p1)) {
+		t.Error("nil DiskParams and &disk.HPC2447() produced different keys")
+	}
+	p2.RPM = 7200
+	if keyOf(withDisk(&p1)) == keyOf(withDisk(&p2)) {
+		t.Error("different DiskParams share a key")
 	}
 }
 
 // TestFingerprintCoversEveryField walks every leaf field of Cell — the
-// fsim.Options inside it, down through pointers and nested specs, and the
-// DistSpec — changes each one in turn and requires the fingerprint to
-// change with it. The walk is by reflection, so a field added later and
-// left out of Fingerprint fails here. Faults and OpenLoop start enabled,
-// with every defaulted parameter set, because their disabled forms
-// rightly ignore their parameters.
+// fsim.Options inside it, down through DiskParams and nested specs, and
+// the DistSpec — changes each one in turn and requires the memo key to
+// change with it. The walk is by reflection, so it covers a field added
+// later without being told about it. It also fails on any pointer, slice,
+// map, func, interface or chan field other than the normalised
+// Opt.DiskParams: such a field would be keyed by its address, or not be
+// comparable at all. Faults and OpenLoop start enabled, with every
+// defaulted parameter set.
 func TestFingerprintCoversEveryField(t *testing.T) {
 	dp := disk.HPC2447()
 	c := Cell{
@@ -78,7 +96,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		Users: 2, Scale: 0.5, Fig5: Fig5Creates, TotalFiles: 100, Commands: 10, CrashAt: sim.Second,
 		Dist: DistSpec{Nodes: 2, Clients: 4, Ops: 50, SplitEntries: 64, SplitQueue: 8, Seed: 1, EngineWorkers: 2},
 	}
-	base := c.Fingerprint()
+	base := keyOf(c)
 	fields := 0
 	var visit func(path string, v reflect.Value)
 	visit = func(path string, v reflect.Value) {
@@ -88,8 +106,20 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 				visit(path+"."+v.Type().Field(i).Name, v.Field(i))
 			}
 			return
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				visit(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+			return
 		case reflect.Pointer:
+			if path != "Cell.Opt.DiskParams" {
+				t.Errorf("%s: a pointer field would be keyed by its address", path)
+				return
+			}
 			visit(path, v.Elem())
+			return
+		case reflect.Slice, reflect.Map, reflect.Func, reflect.Interface, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s: a %v field cannot be keyed by value", path, v.Kind())
 			return
 		}
 		old := reflect.New(v.Type()).Elem()
@@ -110,15 +140,61 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("%s: no way to vary a %v field", path, v.Kind())
 		}
-		if c.Fingerprint() == base {
-			t.Errorf("%s: changing it leaves the fingerprint unchanged", path)
+		if keyOf(c) == base {
+			t.Errorf("%s: changing it leaves the key unchanged", path)
 		}
 		v.Set(old)
 		fields++
 	}
 	visit("Cell", reflect.ValueOf(&c).Elem())
-	if c.Fingerprint() != base {
-		t.Fatal("restoring every field did not restore the fingerprint")
+	if keyOf(c) != base {
+		t.Fatal("restoring every field did not restore the key")
 	}
-	t.Logf("%d fields vary the fingerprint", fields)
+	t.Logf("%d fields vary the key", fields)
+}
+
+// TestCellsStableAcrossPasses guards the Build contract: declaring cells
+// (recording pass) and assembling tables must request the same cells in
+// the same order for every exhibit.
+func TestCellsStableAcrossPasses(t *testing.T) {
+	cfg := Config{Scale: 0.02}
+	for _, ex := range Exhibits {
+		a := ex.Cells(cfg)
+		b := ex.Cells(cfg)
+		if len(a) == 0 {
+			t.Errorf("%s declares no cells", ex.Name)
+			continue
+		}
+		if len(a) != len(b) {
+			t.Errorf("%s: cell count varies between passes: %d vs %d", ex.Name, len(a), len(b))
+			continue
+		}
+		for i := range a {
+			if keyOf(a[i]) != keyOf(b[i]) {
+				t.Errorf("%s: cell %d differs between passes", ex.Name, i)
+			}
+		}
+	}
+}
+
+// TestMemoPartition pins how the memo groups the cells that every mdsim
+// exhibit mode declares at scale 0.05: the 13 -exp all exhibits, -faults,
+// -opstats, -dist, -load and -scenario mail at 100/s on 2 nodes. A key
+// that merged two configurations, or split one, changes the count of
+// distinct keys.
+func TestMemoPartition(t *testing.T) {
+	cfg := Config{Scale: 0.05}
+	modes := append(append([]*Exhibit{}, Exhibits...),
+		FaultRecoveryExhibit, OpStatsExhibit, DistExhibit, LoadCurveExhibit, ScenarioExhibit("mail", 100, 2))
+	requested := 0
+	keys := make(map[memoKey]bool)
+	for _, ex := range modes {
+		for _, c := range ex.Cells(cfg) {
+			requested++
+			keys[keyOf(c)] = true
+		}
+	}
+	if requested != 288 || len(keys) != 275 {
+		t.Fatalf("%d cells requested in %d distinct keys, want 288 in 275", requested, len(keys))
+	}
 }

@@ -24,11 +24,17 @@ var loadRates = []int{25, 50, 100, 200, 400, 800, 1600}
 // compact disk and cache so the sweep crosses each scheme's capacity
 // within the cell's op budget.
 func openLoopOpt(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
+	opt := openLoopBase(scheme, scen, rate, ops, warm)
+	opt.DiskBytes, opt.NInodes, opt.CacheBytes = 64<<20, 8192, 8<<20
+	return opt
+}
+
+// openLoopBase is the configuration every open-loop cell shares, on the
+// single machine and on the cluster: the scenario on Poisson arrivals,
+// and the one per-scheme special case below.
+func openLoopBase(scheme fsim.Scheme, scen string, rate, ops, warm int) fsim.Options {
 	opt := fsim.Options{
-		Scheme:     scheme,
-		DiskBytes:  64 << 20,
-		NInodes:    8192,
-		CacheBytes: 8 << 20,
+		Scheme: scheme,
 		OpenLoop: fsim.OpenLoopSpec{
 			Scenario: scen,
 			Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 1, PerSec: rate},
@@ -178,19 +184,7 @@ func ScenarioExhibit(name string, rate, nodes int) *Exhibit {
 				Columns: t.Columns,
 			}
 			for _, v := range fiveSchemes(nil) {
-				opt := fsim.Options{
-					Scheme: v.opt.Scheme,
-					OpenLoop: fsim.OpenLoopSpec{
-						Scenario: name,
-						Arrival:  fsim.ArrivalSpec{Kind: fsim.Poisson, Seed: 1, PerSec: rate},
-						Ops:      dops,
-						Warmup:   dops / 8,
-					},
-				}
-				if v.opt.Scheme == fsim.AsyncDurability {
-					// Same -CB configuration as openLoopOpt.
-					opt.Explicit, opt.CB = true, true
-				}
+				opt := openLoopBase(v.opt.Scheme, name, rate, dops, dops/8)
 				r := get(Cell{Kind: CellOpenLoopDist, Opt: opt, Dist: DistSpec{
 					Nodes:         nodes,
 					Seed:          42,

@@ -1,14 +1,17 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
+
+	"metaupdate/internal/disk"
 )
 
 // Runner executes Cells on a bounded worker pool and memoizes their
-// results by fingerprint, so a cell shared between exhibits (or requested
+// results by memoKey, so a cell shared between exhibits (or requested
 // twice by one exhibit) simulates exactly once per Runner.
 //
 // Determinism argument: a cell's result is a pure function of its value —
@@ -25,10 +28,31 @@ type Runner struct {
 	sem     chan struct{}
 
 	mu   sync.Mutex
-	memo map[string]*cellEntry
+	memo map[memoKey]*cellEntry
 
 	hits   int // Get calls served from the memo (including in-flight joins)
 	misses int // Get calls that executed the simulation
+}
+
+// memoKey is a cell's identity: the Cell value itself, with the one
+// pointer in it (Opt.DiskParams) replaced by the parameters it points at.
+// A nil DiskParams keys as disk.HPC2447(), the disk fsim mounts for it.
+// Every other field joins the key by being in Cell, so a field added
+// later is keyed without anyone listing it, and a non-comparable one
+// fails to compile here.
+type memoKey struct {
+	cell Cell
+	disk disk.Params
+}
+
+func keyOf(c Cell) memoKey {
+	k := memoKey{disk: disk.HPC2447()}
+	if c.Opt.DiskParams != nil {
+		k.disk = *c.Opt.DiskParams
+	}
+	c.Opt.DiskParams = nil
+	k.cell = c
+	return k
 }
 
 type cellEntry struct {
@@ -45,7 +69,7 @@ func NewRunner(workers int) *Runner {
 	return &Runner{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
-		memo:    make(map[string]*cellEntry),
+		memo:    make(map[memoKey]*cellEntry),
 	}
 }
 
@@ -53,7 +77,7 @@ func NewRunner(workers int) *Runner {
 func (r *Runner) Workers() int { return r.workers }
 
 // Get returns the cell's result, running the simulation if this
-// fingerprint has not been seen before and blocking until it is available.
+// key has not been seen before and blocking until it is available.
 // Concurrent Gets of the same cell coalesce onto one execution.
 func (r *Runner) Get(c Cell) CellResult { return r.get(c, true) }
 
@@ -64,9 +88,9 @@ func (r *Runner) Get(c Cell) CellResult { return r.get(c, true) }
 func (r *Runner) lookup(c Cell) CellResult { return r.get(c, false) }
 
 func (r *Runner) get(c Cell, countHit bool) CellResult {
-	fp := c.Fingerprint()
+	k := keyOf(c)
 	r.mu.Lock()
-	if e, ok := r.memo[fp]; ok {
+	if e, ok := r.memo[k]; ok {
 		if countHit {
 			r.hits++
 		}
@@ -75,7 +99,7 @@ func (r *Runner) get(c Cell, countHit bool) CellResult {
 		return e.res
 	}
 	e := &cellEntry{done: make(chan struct{})}
-	r.memo[fp] = e
+	r.memo[k] = e
 	r.misses++
 	r.mu.Unlock()
 
@@ -108,7 +132,7 @@ func (r *Runner) All(cells []Cell) []CellResult {
 
 // RunnerStats is a snapshot of the runner's reuse and cost counters. Hits
 // and Executed depend only on the multiset of cells requested (executed =
-// distinct fingerprints), not on scheduling; CellWall is real time and
+// distinct keys), not on scheduling; CellWall is real time and
 // does vary.
 type RunnerStats struct {
 	Workers  int     `json:"workers"`
@@ -132,25 +156,26 @@ func (r *Runner) Stats() RunnerStats {
 	return s
 }
 
-// CellTiming reports one executed cell's identity and cost.
+// CellTiming reports one executed cell's identity (its key, printed
+// with %+v) and cost.
 type CellTiming struct {
-	Fingerprint string  `json:"fingerprint"`
-	WallSec     float64 `json:"wall_sec"`
+	Cell    string  `json:"cell"`
+	WallSec float64 `json:"wall_sec"`
 }
 
-// CellTimings lists every completed cell sorted by fingerprint, for the
+// CellTimings lists every completed cell sorted by printed key, for the
 // machine-readable report.
 func (r *Runner) CellTimings() []CellTiming {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]CellTiming, 0, len(r.memo))
-	for fp, e := range r.memo {
+	for k, e := range r.memo {
 		select {
 		case <-e.done:
-			out = append(out, CellTiming{Fingerprint: fp, WallSec: e.res.Wall.Seconds()})
+			out = append(out, CellTiming{Cell: fmt.Sprintf("%+v", k), WallSec: e.res.Wall.Seconds()})
 		default:
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
+	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
 	return out
 }

@@ -82,27 +82,3 @@ func TestCrossExhibitSharing(t *testing.T) {
 		t.Fatal("no memo hits recorded across fig1+fig3")
 	}
 }
-
-// TestCellsStableAcrossPasses guards the Build contract: declaring cells
-// (recording pass) and assembling tables must request the same cells in
-// the same order for every exhibit.
-func TestCellsStableAcrossPasses(t *testing.T) {
-	cfg := harness.Config{Scale: 0.02}
-	for _, ex := range harness.Exhibits {
-		a := ex.Cells(cfg)
-		b := ex.Cells(cfg)
-		if len(a) == 0 {
-			t.Errorf("%s declares no cells", ex.Name)
-			continue
-		}
-		if len(a) != len(b) {
-			t.Errorf("%s: cell count varies between passes: %d vs %d", ex.Name, len(a), len(b))
-			continue
-		}
-		for i := range a {
-			if a[i].Fingerprint() != b[i].Fingerprint() {
-				t.Errorf("%s: cell %d differs between passes", ex.Name, i)
-			}
-		}
-	}
-}

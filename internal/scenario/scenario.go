@@ -7,7 +7,7 @@
 // A Stream is a pure function of the operation index — like the arrival
 // processes, no running RNG stream, no hidden state — so a scenario can
 // be replayed from any index, recorded to CSV and replayed bit-exactly,
-// and embedded in memoized harness cells whose fingerprints cover the
+// and embedded in memoized harness cells whose memo keys cover the
 // scenario name and seed. Each stream is self-consistent by construction:
 // an operation only references files that earlier indices created
 // (rounds reference their own round's file, removals trail a fixed
